@@ -14,6 +14,7 @@ adjudicates by exact computation and never reconciles a mismatch silently.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -367,12 +368,14 @@ class VerificationReport:
 def verify(kind: str, family: str, ns, threads: int = 1) -> VerificationReport:
     """Build, compute and compare every case; mismatches become report
     content, never exceptions.  Cases are independent, so sweeps may fan out
-    over processes; results merge in input order either way."""
+    over processes, at most one per CPU; results merge in input order either
+    way."""
     ns = list(ns)
     for n in ns:
         _case_key(kind, family, n)
-    if threads > 1 and len(ns) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(ns), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cases = list(pool.map(_verify_case, [kind] * len(ns), [family] * len(ns), ns))
     else:
         cases = [_verify_case(kind, family, n) for n in ns]

@@ -137,6 +137,15 @@ def commuting_graph(table: GroupTable) -> SimpleGraph:
     return SimpleGraph(adj, group=table)
 
 
+def _exact_float_dtype(bound: int) -> type:
+    """Narrowest float type that holds every integer in [0, bound] exactly:
+    float32 below 2**24, float64 below 2**53."""
+    for dtype in (np.float32, np.float64):
+        if bound < 2 ** (np.finfo(dtype).nmant + 1):
+            return dtype
+    raise AssertionError(f"integers up to {bound} exceed the exact range of float64")
+
+
 def super_graph(base: SimpleGraph, classes: Partition, class_cliques: bool = True) -> SimpleGraph:
     """Lift ``base`` along the partition: [g] ~ [h] when an edge joins them.
 
@@ -151,9 +160,12 @@ def super_graph(base: SimpleGraph, classes: Partition, class_cliques: bool = Tru
         )
     if classes.block_count == n:
         return base  # all blocks singletons: the lift changes nothing
-    member = np.zeros((classes.block_count, n), dtype=np.int64)
+    # every partial sum of the product counts edges between two blocks, a
+    # whole number in [0, n*n], so a float type exact that far runs it on BLAS
+    dtype = _exact_float_dtype(n * n)
+    member = np.zeros((classes.block_count, n), dtype=dtype)
     member[classes.block_of, np.arange(n)] = 1
-    counts = member @ base.adjacency.astype(np.int64) @ member.T
+    counts = member @ base.adjacency.astype(dtype) @ member.T
     block_adj = counts > 0
     if class_cliques:
         np.fill_diagonal(block_adj, True)

@@ -1,14 +1,27 @@
 """Exact integer Laplacian analytics: characteristic polynomials, integral
 spectra, rank/nullity and spanning-tree counts, all in exact arithmetic.
 
-The characteristic polynomial is computed modulo a batch of 26-bit primes
+The characteristic polynomial is computed modulo a batch of primes
 (similarity reduction to Hessenberg form over F_p, then the leading-minor
 recurrence) and the integer coefficients are recovered by Chinese
 remaindering against a Hadamard-style bound.  Reduction mod p commutes with
 det(xI - M), so every prime contributes a correct residue and no "unlucky
-prime" handling is needed.  26-bit primes keep every modular dot product of
-length up to 2048 inside int64, which lets numpy carry the O(N^3) inner
-loops.
+prime" handling is needed.  The primes are 26-bit up to order 2048 and
+narrower above it, chosen so that every modular dot product of length N
+stays inside int64, which lets numpy carry the O(N^3) inner loops.
+
+The spectrum and the eigenvalue tree count first reduce a matrix along its
+twin classes.  A matrix counts as a graph Laplacian when it is symmetric,
+its off-diagonal entries lie in {0, -1} and its rows sum to zero.  Its
+closed twins (N[u] = N[v]) and open twins (N(u) = N(v)) then form an
+equitable partition, so the spectrum is that of a k x k integer quotient
+plus s - 1 copies of deg + 1 (closed) or deg (open) for each twin class of
+size s.  The lifts of this package are compositions of cliques, so k stays
+small however large the group.  Every other matrix, and a Laplacian with
+no twins, is its own quotient.  The reduction is certified by its trace:
+tr Q + sum (s - 1) * eigenvalue must equal tr M exactly.  ``char_poly``,
+the Kirchhoff cofactor and the ``nullity`` strategy always work on the full
+matrix, as the independent paths the quotient is checked against.
 
 No floating point enters any certified result.  Float eigensolvers are fine
 as an external diagnostic but are never consulted here.
@@ -24,7 +37,7 @@ import numpy as np
 from .errors import NotIntegral
 from .graphs import SimpleGraph
 
-_PRIME_CAP = 1 << 26
+_PRIME_BITS = 26
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +200,7 @@ def laplacian(graph: SimpleGraph) -> np.ndarray:
 # prime batches
 
 _SMALL_PRIMES: list[int] = []
-_PRIMES: list[int] = []
-_next_candidate = _PRIME_CAP - 1
+_PRIMES: dict[int, list[int]] = {}  # bit width -> descending primes below 2**width
 
 
 def _small_primes() -> list[int]:
@@ -203,25 +215,35 @@ def _small_primes() -> list[int]:
     return _SMALL_PRIMES
 
 
-def _ensure_primes(count: int) -> None:
-    global _next_candidate
+def _ensure_primes(width: int, count: int) -> list[int]:
+    primes = _PRIMES.setdefault(width, [])
     small = _small_primes()
-    while len(_PRIMES) < count:
-        c = _next_candidate
-        _next_candidate -= 2
-        if all(c % q for q in small):
-            _PRIMES.append(c)
+    candidate = primes[-1] - 2 if primes else (1 << width) - 1
+    while len(primes) < count:
+        if all(candidate % q for q in small):
+            primes.append(candidate)
+        candidate -= 2
+    return primes
 
 
-def _prime_batch(bits: float) -> list[int]:
-    """Enough descending 26-bit primes for a modulus above 2**bits."""
+def _prime_width(n: int) -> int:
+    """Widest prime width, at most 26 bits, for which a dot product of n
+    residues stays inside int64: n * (p - 1)**2 < 2**63 for every
+    p < 2**width.  26 bits up to n = 2048, 25 bits from 2049."""
+    width = _PRIME_BITS
+    while n * ((1 << width) - 2) ** 2 >= 1 << 63:
+        width -= 1
+    return width
+
+
+def _prime_batch(bits: float, width: int = _PRIME_BITS) -> list[int]:
+    """Enough descending primes below 2**width for a modulus above 2**bits."""
     got = 0.0
     count = 0
     while got <= bits:
         count += 1
-        _ensure_primes(count)
-        got += math.log2(_PRIMES[count - 1])
-    return _PRIMES[:count]
+        got += math.log2(_ensure_primes(width, count)[count - 1])
+    return _PRIMES[width][:count]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +331,7 @@ def char_poly(matrix) -> IntegerPolynomial:
     n = m.shape[0]
     if n == 0:
         return IntegerPolynomial((1,))
-    primes = _prime_batch(_charpoly_coeff_bits(m) + 1)
+    primes = _prime_batch(_charpoly_coeff_bits(m) + 1, _prime_width(n))
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for i, p in enumerate(primes):
         h = _mod_reduce(m, p)
@@ -390,6 +412,84 @@ def integer_determinant(matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
+# twin quotient
+
+
+def _is_graph_laplacian(m: np.ndarray) -> bool:
+    """Symmetric, off-diagonal entries in {0, -1}, zero row sums."""
+    if m.dtype == object:
+        return False
+    off = m.copy()
+    np.fill_diagonal(off, 0)
+    return bool(
+        np.array_equal(m, m.T)
+        and off.min(initial=0) >= -1
+        and off.max(initial=0) <= 0
+        and not m.sum(axis=1).any()
+    )
+
+
+def _twin_classes(rows: np.ndarray) -> list[list[int]]:
+    """Indices of identical boolean rows, in classes of two or more."""
+    classes: dict[bytes, list[int]] = {}
+    for v, packed in enumerate(np.packbits(rows, axis=1)):
+        classes.setdefault(packed.tobytes(), []).append(v)
+    return [c for c in classes.values() if len(c) > 1]
+
+
+def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Reduce a graph Laplacian along its closed- and open-twin classes.
+
+    Returns the quotient Q and the (eigenvalue, multiplicity) pairs the
+    classes split off.  A class of size s carries s - 1 eigenvectors that
+    live on it and sum to zero there, with eigenvalue deg + 1 (closed twins,
+    a clique) or deg (open twins, an independent set).  The remaining k
+    eigenvalues are those of Q, indexed by one representative per class:
+    its degree less its in-class neighbours on the diagonal, minus the size
+    of each adjacent class off it.  No vertex has both a closed and an open
+    twin, so the classes are disjoint.  Input that is not a graph Laplacian,
+    or has no twins, is returned as its own quotient.
+    """
+    n = m.shape[0]
+    if not _is_graph_laplacian(m):
+        return m, []
+    adj = m == -1
+    closed = _twin_classes(adj | np.eye(n, dtype=bool))
+    open_ = _twin_classes(adj)
+    if not closed and not open_:
+        return m, []
+    degrees = np.diagonal(m)
+    keep = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    inner = np.zeros(n, dtype=np.int64)
+    twins = []
+    for in_class, classes in ((1, closed), (0, open_)):
+        for cls in classes:
+            rep, size = cls[0], len(cls)
+            keep[cls[1:]] = False
+            sizes[rep] = size
+            inner[rep] = in_class * (size - 1)
+            twins.append((int(degrees[rep]) + in_class, size - 1))
+    reps = np.flatnonzero(keep)
+    quotient = np.diag(degrees[reps] - inner[reps]) - adj[np.ix_(reps, reps)] * sizes[reps]
+    return quotient, twins
+
+
+def _reduced_char_poly(m: np.ndarray) -> tuple[IntegerPolynomial, list[tuple[int, int]]]:
+    """char poly of the twin quotient of ``m`` and the twin pairs, checked
+    against ``m`` by dimension and trace."""
+    quotient, twins = _twin_quotient(m)
+    poly = char_poly(quotient)
+    trace = -poly.coefficients[-2] if poly.degree >= 1 else 0
+    if (
+        poly.degree + sum(mult for _, mult in twins) != m.shape[0]
+        or trace + sum(value * mult for value, mult in twins) != int(np.trace(m))
+    ):
+        raise AssertionError("twin quotient fails the dimension or trace identity")
+    return poly, twins
+
+
+# ---------------------------------------------------------------------------
 # integral spectra
 
 
@@ -397,30 +497,22 @@ def integral_spectrum(matrix, strategy: str = "deflation") -> SpectrumMultiset:
     """Full eigenvalue multiset of an integral-spectrum symmetric matrix.
 
     Laplacian eigenvalues lie in [0, N], so the integer candidates 0..N are
-    complete.  ``deflation`` walks them descending, splitting roots off the
-    characteristic polynomial; ``nullity`` instead reads each multiplicity
-    from the rational kernel of M - tI (valid for symmetric matrices, where
-    geometric equals algebraic multiplicity).  Raises :class:`NotIntegral`
-    when the candidates do not exhaust the spectrum.
+    complete.  ``deflation`` splits them off the characteristic polynomial of
+    the twin quotient and merges in the twin eigenvalues; ``nullity`` instead
+    reads each multiplicity from the rational kernel of M - tI on the full
+    matrix (valid for symmetric matrices, where geometric equals algebraic
+    multiplicity).  Raises :class:`NotIntegral` when the candidates do not
+    exhaust the spectrum; its residual is the same factor either way.
     """
     m = _as_square_int_matrix(matrix)
     n = m.shape[0]
     if strategy == "deflation":
-        remainder = char_poly(m)
-        pairs: list[tuple[int, int]] = []
-        for t in range(n, -1, -1):
-            multiplicity = 0
-            while True:
-                quotient, rem = remainder.synthetic_division(t)
-                if rem != 0:
-                    break
-                remainder = quotient
-                multiplicity += 1
-            if multiplicity:
-                pairs.append((t, multiplicity))
-        if remainder.degree > 0:
-            raise NotIntegral(residual=remainder, partial=pairs)
-        return SpectrumMultiset(tuple(pairs))
+        poly, twins = _reduced_char_poly(m)
+        pairs, residual = factor_integer_roots(poly, n)
+        spectrum = SpectrumMultiset.from_pairs(pairs + tuple(twins))
+        if residual.degree > 0:
+            raise NotIntegral(residual=residual, partial=spectrum.pairs)
+        return spectrum
     if strategy == "nullity":
         pairs = []
         total = 0
@@ -450,9 +542,10 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     """Number of spanning trees (0 when disconnected).
 
     ``eigenvalues`` reads the product of the nonzero Laplacian eigenvalues
-    off the degree-one coefficient of the characteristic polynomial;
-    ``determinant`` takes the Kirchhoff cofactor (reduced-Laplacian
-    determinant).  ``both`` computes the two independently and insists they
+    off the degree-one coefficient of the twin quotient's characteristic
+    polynomial, times the twin eigenvalues; ``determinant`` takes the
+    Kirchhoff cofactor (reduced-Laplacian determinant) of the full
+    Laplacian.  ``both`` computes the two independently and insists they
     agree.
     """
     if method not in ("both", "eigenvalues", "determinant"):
@@ -461,10 +554,10 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     n = graph.vertex_count
     by_eigen = by_det = None
     if method in ("eigenvalues", "both"):
-        poly = char_poly(lap)
+        poly, twins = _reduced_char_poly(lap)
         c1 = poly.coefficients[1] if poly.degree >= 1 else 0
-        signed = c1 if (n - 1) % 2 == 0 else -c1
-        by_eigen, rem = divmod(signed, n)
+        signed = c1 if (poly.degree - 1) % 2 == 0 else -c1
+        by_eigen, rem = divmod(math.prod(value**mult for value, mult in twins) * signed, n)
         if rem != 0 or by_eigen < 0:
             raise AssertionError("eigenvalue product is not a valid tree count")
     if method in ("determinant", "both"):

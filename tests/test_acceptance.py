@@ -23,6 +23,7 @@ from superspectra import (
     SimpleGraph,
     build_group,
     char_poly,
+    factor_integer_roots,
     integral_spectrum,
     laplacian,
     named_super_graph,
@@ -124,6 +125,12 @@ def sweep():
         except NotIntegral as exc:  # pragma: no cover - would fail criterion 7
             spectrum, not_integral = None, exc
         elapsed = time.perf_counter() - start
+        # the twin quotient against the char poly of the full Laplacian
+        full_pairs, full_residual = factor_integer_roots(char_poly(laplacian(built)), table.order)
+        if not_integral is None:
+            assert (spectrum.pairs, full_residual.degree) == (full_pairs, 0), (kind, family, n)
+        else:
+            assert (not_integral.residual, not_integral.partial) == (full_residual, full_pairs)
         data[(kind, family, n)] = {
             "order": table.order,
             "graph": built,

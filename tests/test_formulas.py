@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from superspectra import formulas
+from superspectra.cli import THREADS_ENV, main
 from superspectra import (
     CSCOM,
     CSEP,
@@ -141,3 +143,48 @@ class TestVerify:
         serial = verify(CSEP, QUATERNION, [2, 3, 4], threads=1)
         parallel = verify(CSEP, QUATERNION, [2, 3, 4], threads=2)
         assert serial.to_json() == parallel.to_json()
+
+
+class RecordingPool:
+    """Stands in for the process pool: runs the cases in this process and
+    records the worker count it was asked for."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerClamp:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        RecordingPool.requested = []
+        monkeypatch.setattr(formulas, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(formulas.os, "cpu_count", lambda: 2)
+
+    def test_library_threads_clamped(self):
+        report = verify(CSEP, QUATERNION, [2, 3, 4], threads=10**6)
+        assert RecordingPool.requested == [2]
+        assert report.to_json() == verify(CSEP, QUATERNION, [2, 3, 4]).to_json()
+
+    def test_no_pool_for_one_case_or_one_cpu(self, monkeypatch):
+        verify(CSEP, QUATERNION, [2], threads=8)
+        monkeypatch.setattr(formulas.os, "cpu_count", lambda: None)
+        verify(CSEP, QUATERNION, [2, 3], threads=8)
+        assert RecordingPool.requested == []
+
+    def test_cli_flag_and_environment_clamped(self, monkeypatch, capsys):
+        assert main(["verify", "--kind", "csep", "--family", "q4n", "--range", "2..4",
+                     "--threads", "5000"]) == 0
+        monkeypatch.setenv(THREADS_ENV, "100000")
+        assert main(["verify", "--kind", "csep", "--family", "q4n", "--range", "2..3"]) == 0
+        assert RecordingPool.requested == [2, 2]

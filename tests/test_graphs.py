@@ -11,6 +11,7 @@ from superspectra import (
     RELATIONS,
     SEMIDIHEDRAL,
     DimensionMismatch,
+    Partition,
     SimpleGraph,
     build_group,
     commuting_graph,
@@ -25,6 +26,7 @@ from superspectra import (
     relation_partition,
     super_graph,
 )
+from superspectra.graphs import _exact_float_dtype
 
 from oracles import (
     brute_force_power_edges,
@@ -319,3 +321,41 @@ def test_lift_matches_existential_definition(family_n, base, relation, flag):
     assert np.array_equal(
         graph.adjacency, brute_force_super(base_graph.adjacency, part.block_of, flag)
     )
+
+
+def int64_lift(adjacency, block_of, class_cliques):
+    """The lift's block product in exact int64 arithmetic."""
+    n = adjacency.shape[0]
+    member = np.zeros((int(block_of.max()) + 1, n), dtype=np.int64)
+    member[block_of, np.arange(n)] = 1
+    block_adj = member @ adjacency.astype(np.int64) @ member.T > 0
+    if class_cliques:
+        np.fill_diagonal(block_adj, True)
+    adj = block_adj[block_of][:, block_of]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data(), st.booleans())
+def test_float_lift_matches_int64_product_and_definition(n, data, flag):
+    pairs = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    adj = np.triu(np.array(pairs, dtype=bool).reshape(n, n), 1)
+    adj = adj | adj.T
+    labels = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n))
+    firsts = list(dict.fromkeys(labels))  # blocks ordered by least member
+    block_of = np.array([firsts.index(x) for x in labels], dtype=np.int64)
+    blocks = tuple(tuple(int(g) for g in np.flatnonzero(block_of == b)) for b in range(len(firsts)))
+    lifted = super_graph(SimpleGraph(adj), Partition(block_of=block_of, blocks=blocks), flag)
+    assert np.array_equal(lifted.adjacency, int64_lift(adj, block_of, flag))
+    assert np.array_equal(lifted.adjacency, brute_force_super(adj, block_of, flag))
+
+
+def test_exact_float_dtype_edges():
+    assert _exact_float_dtype(2**24 - 1) is np.float32
+    assert _exact_float_dtype(2**24) is np.float64
+    assert _exact_float_dtype(2**53 - 1) is np.float64
+    with pytest.raises(AssertionError):
+        _exact_float_dtype(2**53)
+    # the lift of an order-2000 group counts at most 2000**2 edges per block pair
+    assert _exact_float_dtype(2000 * 2000) is np.float32

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from superspectra import (
     NotIntegral,
     QUATERNION,
     SEMIDIHEDRAL,
+    SimpleGraph,
     SpectrumMultiset,
     build_group,
     char_poly,
@@ -23,6 +26,8 @@ from superspectra import (
     nullity,
     spanning_tree_count,
 )
+from superspectra import spectral
+from superspectra.spectral import _prime_batch, _prime_width, _twin_quotient
 
 from oracles import (
     component_count,
@@ -315,8 +320,6 @@ class TestSpanningTrees:
         assert spanning_tree_count(complete(n)) == n ** (n - 2)
 
     def test_methods_agree_on_random_graphs(self):
-        from superspectra import SimpleGraph
-
         rng = np.random.default_rng(23)
         for _ in range(40):
             n = int(rng.integers(2, 8))
@@ -367,3 +370,114 @@ def test_char_poly_matches_cofactor_oracle(n, data):
     )
     m = np.array(entries, dtype=np.int64).reshape(n, n)
     assert char_poly(m).coefficients == tuple(naive_char_poly(m))
+
+
+class TestPrimeWidth:
+    """A modular dot product of N residues stays inside int64 only while
+    N * (p - 1)**2 < 2**63; the prime width is chosen from N to keep it so."""
+
+    def test_edge_at_2048(self):
+        assert _prime_width(2048) == 26
+        assert _prime_width(2049) == 25
+        assert 2049 * (max(_prime_batch(1000, 26)) - 1) ** 2 >= 1 << 63
+
+    @pytest.mark.parametrize("n", [1, 2048, 2049, 8192, 8193, 10**6])
+    def test_batch_keeps_headroom(self, n):
+        width = _prime_width(n)
+        primes = _prime_batch(200, width)
+        assert all(p < 1 << width for p in primes)
+        assert n * (max(primes) - 1) ** 2 < 1 << 63
+        assert sum(math.log2(p) for p in primes) > 200
+        small = [q for q in range(2, 1 << 13) if all(q % r for r in range(2, int(q**0.5) + 1))]
+        assert all(all(p % q for q in small) for p in primes)
+
+    def test_narrow_primes_give_the_same_char_poly(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_prime_width", lambda n: 20)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            n = int(rng.integers(1, 7))
+            m = rng.integers(-30, 31, size=(n, n))
+            assert char_poly(m).coefficients == tuple(naive_char_poly(m))
+
+
+def full_path(lap):
+    """Spectrum or residual from the char poly of the full matrix."""
+    pairs, residual = factor_integer_roots(char_poly(lap), lap.shape[0])
+    return pairs if residual.degree == 0 else ("residual", residual.coefficients, pairs)
+
+
+def deflation_path(lap):
+    try:
+        return integral_spectrum(lap).pairs
+    except NotIntegral as exc:
+        return ("residual", exc.residual.coefficients, exc.partial)
+
+
+class TestTwinQuotient:
+    @pytest.mark.parametrize(
+        "family,n,base", [(DIHEDRAL, 25, "enhanced"), (QUATERNION, 16, "enhanced"),
+                          (SEMIDIHEDRAL, 10, "enhanced"), (SEMIDIHEDRAL, 10, "commuting")]
+    )
+    def test_catalog_lifts_shrink(self, family, n, base):
+        lap = laplacian(named_super_graph(build_group(family, n), base, "conjugacy"))
+        quotient, twins = _twin_quotient(lap)
+        assert quotient.shape[0] <= 5
+        assert quotient.shape[0] + sum(m for _, m in twins) == lap.shape[0]
+
+    def test_other_input_is_its_own_quotient(self):
+        lap = laplacian(csep(DIHEDRAL, 5))
+        for m in (lap - 3 * np.eye(10, dtype=np.int64), -lap, laplacian(path_graph(5))):
+            quotient, twins = _twin_quotient(m)
+            assert quotient is m and twins == []
+        asymmetric = np.array([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
+        assert _twin_quotient(asymmetric)[0] is asymmetric
+
+    def test_complete_graph(self):
+        quotient, twins = _twin_quotient(laplacian(complete(6)))
+        assert quotient.tolist() == [[0]] and twins == [(6, 5)]
+
+    @pytest.mark.parametrize(
+        "family,n,base,relation",
+        [(DIHEDRAL, 12, "power", "equality"), (QUATERNION, 3, "power", "equality"),
+         (QUATERNION, 6, "power", "conjugacy")],
+    )
+    def test_not_integral_residual_matches_full_path(self, family, n, base, relation):
+        lap = laplacian(named_super_graph(build_group(family, n), base, relation))
+        assert _twin_quotient(lap)[0].shape[0] < lap.shape[0]
+        with pytest.raises(NotIntegral):
+            integral_spectrum(lap)
+        assert deflation_path(lap) == full_path(lap)
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """Compositions H[G_1, .., G_k] with each G_i a clique (closed twins) or
+    an edgeless graph (open twins), plus isolated vertices, shuffled."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    outer = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))).reshape(k, k)
+    outer = np.triu(outer, 1)
+    outer = outer | outer.T
+    cliques = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    block_of = np.repeat(np.arange(k), sizes)
+    same = block_of[:, None] == block_of[None, :]
+    adj = np.where(same, cliques[block_of][:, None], outer[np.ix_(block_of, block_of)])
+    np.fill_diagonal(adj, False)
+    adj = np.pad(adj, (0, isolated))
+    perm = draw(st.permutations(range(adj.shape[0])))
+    return SimpleGraph(adj[np.ix_(perm, perm)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_twin_graphs())
+def test_twin_quotient_matches_full_paths(graph):
+    lap = laplacian(graph)
+    assert deflation_path(lap) == full_path(lap)
+    n = graph.vertex_count
+    c1 = char_poly(lap).coefficients[1]
+    by_full_poly = (c1 if (n - 1) % 2 == 0 else -c1) // n
+    by_eigen = spanning_tree_count(graph, method="eigenvalues")
+    assert by_eigen == spanning_tree_count(graph, method="determinant") == by_full_poly
+    if component_count(graph.adjacency) > 1:
+        assert by_eigen == 0
