@@ -10,7 +10,7 @@ import sys
 
 from .compose import KINDS
 from .errors import NotIntegral, ParameterOutOfRange, UnsupportedCombination
-from .formulas import BASE_FOR_KIND, verify
+from .formulas import BASE_FOR_KIND, decimal_string, verify
 from .graphs import BASES, RELATIONS, SimpleGraph, named_super_graph
 from .groups import (
     CYCLIC,
@@ -112,7 +112,7 @@ def _spectrum_payload(args) -> dict:
         "edges": graph.edge_count,
         "spectrum": [list(p) for p in spectrum.pairs],
         "char_poly_factored": factored,
-        "trees": str(trees),
+        "trees": decimal_string(trees),
     }
 
 
@@ -261,6 +261,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an internal cross-check disagreed (tree-count paths, the twin
+        # quotient's trace identity, a CRT bound): no result is certified
+        if args.format == "json":
+            _emit(json.dumps({"error": "internal_check_failed", "message": str(exc)}, indent=2), args.output)
+        else:
+            print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint() -> None:

@@ -94,6 +94,19 @@ def _case_key(kind: str, family: str, n: int) -> tuple[str, str, str]:
     return key
 
 
+def decimal_string(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    (4300 digits by default), which tree counts pass at a few thousand
+    vertices.  ``decimal.Decimal`` converts from the binary representation
+    exactly at any size, so the interpreter-wide limit is left as it is.
+    """
+    import decimal  # here, not at the top: it adds about 5 ms to every package import
+
+    return str(decimal.Decimal(value))
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One closed-form prediction variant, instantiated at a concrete n."""
@@ -299,9 +312,9 @@ class VerificationReport:
                     "edges": c.edges,
                     "dual_path_equal": c.dual_path_equal,
                     "computed_spectrum": [list(p) for p in c.computed_spectrum.pairs],
-                    "computed_trees": str(c.computed_trees),
+                    "computed_trees": decimal_string(c.computed_trees),
                     "tree_methods_agree": c.tree_methods_agree,
-                    "predicted_trees": str(c.predicted_trees),
+                    "predicted_trees": decimal_string(c.predicted_trees),
                     "tree_match": c.tree_match,
                     "variants": [
                         {
@@ -354,7 +367,7 @@ class VerificationReport:
                         str(c.order),
                         str(c.edges),
                         c.computed_spectrum.compact(),
-                        str(c.computed_trees),
+                        decimal_string(c.computed_trees),
                         str(c.dual_path_equal).lower(),
                         str(c.adjudicated_source is not None).lower(),
                         str(c.tree_match).lower(),

@@ -10,6 +10,19 @@ prime" handling is needed.  The primes are 26-bit up to order 2048 and
 narrower above it, chosen so that every modular dot product of length N
 stays inside int64, which lets numpy carry the O(N^3) inner loops.
 
+The Kirchhoff cofactor (``integer_determinant``) is computed the same way,
+by CRT against the Hadamard row-norm bound, but its residues come from one
+LU per batch of primes: a (P, n, n) float64 stack of about 1 MB, factored
+by recursive column halving with a recursive unit-lower TRSM, so that the
+trailing updates are batched float64 matmuls on BLAS, reduced mod p once
+per product rather than once per column.  float64 holds every integer
+below 2**53 exactly, so the prime width is picked from the longest sum of
+products the recursion forms, k = n // 2 above the leaf width: k * (p - 1)**2
++ p < 2**53, which gives 23-bit primes up to order 257 and narrower above,
+and the LU asserts that bound for each stack.  The two prime widths come
+from one selector with an int64 budget (63 bits) for the char poly and a
+float64 budget (53 bits) for the cofactor.
+
 The spectrum and the eigenvalue tree count first reduce a matrix along its
 twin classes.  A matrix counts as a graph Laplacian when it is symmetric,
 its off-diagonal entries lie in {0, -1} and its rows sum to zero.  Its
@@ -23,8 +36,10 @@ tr Q + sum (s - 1) * eigenvalue must equal tr M exactly.  ``char_poly``,
 the Kirchhoff cofactor and the ``nullity`` strategy always work on the full
 matrix, as the independent paths the quotient is checked against.
 
-No floating point enters any certified result.  Float eigensolvers are fine
-as an external diagnostic but are never consulted here.
+No rounded floating point enters any certified result: the Kirchhoff LU
+uses float64 only as integer arithmetic inside the asserted bound.  Float
+eigensolvers are fine as an external diagnostic but are never consulted
+here.
 """
 
 from __future__ import annotations
@@ -38,6 +53,12 @@ from .errors import NotIntegral
 from .graphs import SimpleGraph
 
 _PRIME_BITS = 26
+_INT64_BITS = 63  # int64 holds every integer below 2**63
+_FLOAT64_BITS = 53  # float64 holds every integer below 2**53 exactly
+_DET_LEAF = 8  # the Kirchhoff LU and its TRSM go column by column at this width and below
+# float64 residue stack of one batch of primes: 2 MB stacks ran the cofactor
+# faster still, but raised a catalog sweep's peak RSS by about 10%
+_DET_STACK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +247,17 @@ def _ensure_primes(width: int, count: int) -> list[int]:
     return primes
 
 
-def _prime_width(n: int) -> int:
-    """Widest prime width, at most 26 bits, for which a dot product of n
-    residues stays inside int64: n * (p - 1)**2 < 2**63 for every
-    p < 2**width.  26 bits up to n = 2048, 25 bits from 2049."""
+def _prime_width(n: int, budget: int = _INT64_BITS) -> int:
+    """Widest prime width, at most 26 bits, for which a sum of n products of
+    two residues plus one more residue stays below 2**budget:
+    n * (p - 1)**2 + p < 2**budget for every p < 2**width.
+
+    Budget 63 is int64, for the Hessenberg dot products of length n: 26 bits
+    up to n = 2048, 25 bits from 2049.  Budget 53 is the range in which
+    float64 holds every integer exactly, for the Kirchhoff LU, whose longest
+    dot product is ``_det_dot_length``: 23 bits up to k = 128, 22 from 129."""
     width = _PRIME_BITS
-    while n * ((1 << width) - 2) ** 2 >= 1 << 63:
+    while n * ((1 << width) - 2) ** 2 + (1 << width) - 1 >= 1 << budget:
         width -= 1
     return width
 
@@ -293,15 +319,24 @@ def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
     return polys[n]
 
 
+def _square_norms(m: np.ndarray, axis: int) -> list[int]:
+    """Exact squared Euclidean norms of the rows (axis=1) or the columns
+    (axis=0) of a nonempty matrix, summed in int64 when n * max|a|**2 < 2**63
+    and in Python ints otherwise."""
+    if m.dtype != object:
+        top = max(-int(m.min()), int(m.max()))
+        if m.shape[axis] * top * top < 1 << _INT64_BITS:
+            return (m * m).sum(axis=axis).tolist()
+    m = m.astype(object)
+    return (m * m).sum(axis=axis).tolist()
+
+
 def _charpoly_coeff_bits(m: np.ndarray) -> float:
     """log2 bound on |char poly coefficients|: each coefficient is a signed
     sum of at most C(N,k) principal minors, each Hadamard-bounded by the
     largest column norm to the k-th power."""
     n = m.shape[0]
-    max_norm_sq = 1
-    for j in range(n):
-        norm_sq = sum(int(x) * int(x) for x in m[:, j])
-        max_norm_sq = max(max_norm_sq, norm_sq)
+    max_norm_sq = max(1, *_square_norms(m, axis=0))
     return n * (1.0 + 0.5 * math.log2(max_norm_sq)) + 2
 
 
@@ -374,41 +409,151 @@ def nullity(matrix) -> int:
     return n - rank
 
 
-def _det_mod(m: np.ndarray, p: int) -> int:
-    a = np.array(m, dtype=np.int64)
-    n = a.shape[0]
-    det = 1
-    for j in range(n):
-        nz = np.flatnonzero(a[j:, j])
-        if nz.size == 0:
-            return 0
-        piv = j + int(nz[0])
-        if piv != j:
-            a[[j, piv], :] = a[[piv, j], :]
-            det = p - det
-        pivot = int(a[j, j])
-        det = (det * pivot) % p
-        inv = pow(pivot, p - 2, p)
-        mult = (a[j + 1 :, j] * inv) % p
-        a[j + 1 :, j:] = (a[j + 1 :, j:] - mult[:, None] * a[j, j:]) % p
-    return det
+def _det_dot_length(n: int) -> int:
+    """Longest sum of products of two residues that the Kirchhoff LU of an
+    n x n matrix forms between two reductions.  Above ``_DET_LEAF`` it is
+    the Schur update after the first column split, of length n // 2: every
+    later split, TRSM product and leaf is shorter.  Otherwise the whole
+    matrix is one leaf, whose entries gather up to n - 1 rank-one terms."""
+    return n // 2 if n > _DET_LEAF else max(1, n - 1)
+
+
+class _StackLU:
+    """In-place LU of a (P, n, n) float64 stack of residues, one prime per
+    layer; see ``_det_mod_stack``.  A class rather than recursive closures,
+    whose reference cycle would keep each stack alive until the next
+    garbage collection."""
+
+    def __init__(self, m: np.ndarray, primes: list[int]):
+        n = m.shape[0]
+        self.k = _det_dot_length(n)
+        top = max(primes)
+        if self.k * (top - 1) ** 2 + top >= 1 << _FLOAT64_BITS:
+            raise AssertionError("prime too wide for exact float64 elimination")
+        self.a = np.empty((len(primes), n, n))
+        for i, q in enumerate(primes):
+            # residues below 2**26 cast to float64 exactly
+            np.remainder(m, q, out=self.a[i], casting="unsafe")
+        # one buffer for every temporary: the largest is the first Schur
+        # update or a leaf's rank-one term
+        self.buffer = np.empty(len(primes) * max((n - n // 2) ** 2, n * _DET_LEAF))
+        self.primes = primes
+        self.p = np.array(primes, dtype=np.float64)[:, None, None]
+        self.p_inv = 1.0 / self.p
+        self.swaps = np.zeros(len(primes), dtype=np.int64)
+
+    def scratch(self, like: np.ndarray) -> np.ndarray:
+        return self.buffer[: like.size].reshape(like.shape)
+
+    def check(self, length: int) -> None:
+        if length > self.k:
+            raise AssertionError("sum of products longer than the float64 bound allows")
+
+    def reduce(self, c: np.ndarray) -> None:
+        q = np.multiply(c, self.p_inv, out=self.scratch(c))
+        np.rint(q, out=q)
+        q *= self.p
+        c -= q
+
+    def subtract_product(self, c: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+        self.check(left.shape[-1])
+        c -= np.matmul(left, right, out=self.scratch(c))
+        self.reduce(c)
+
+    def trsm(self, r0: int, r1: int, c0: int, c1: int) -> None:
+        """Rows r0:r1 of columns c0:c1 <- L^-1 times them, L the unit-lower
+        triangle stored in rows and columns r0:r1."""
+        a = self.a
+        if r1 - r0 > _DET_LEAF:
+            mid = (r0 + r1) // 2
+            self.trsm(r0, mid, c0, c1)
+            self.subtract_product(a[:, mid:r1, c0:c1], a[:, mid:r1, r0:mid], a[:, r0:mid, c0:c1])
+            self.trsm(mid, r1, c0, c1)
+            return
+        self.check(r1 - r0 - 1)
+        for t in range(r0, r1):
+            row = a[:, t : t + 1, c0:c1]
+            self.reduce(row)
+            rest = a[:, t + 1 : r1, c0:c1]
+            rest -= np.multiply(a[:, t + 1 : r1, t : t + 1], row, out=self.scratch(rest))
+
+    def lu(self, c0: int, c1: int) -> None:
+        """Factor columns c0:c1 of rows c0:n: L below the diagonal, U on and
+        above it."""
+        a = self.a
+        if c1 - c0 > _DET_LEAF:
+            mid = (c0 + c1) // 2
+            self.lu(c0, mid)
+            self.trsm(c0, mid, mid, c1)
+            self.subtract_product(a[:, mid:, mid:c1], a[:, mid:, c0:mid], a[:, c0:mid, mid:c1])
+            self.lu(mid, c1)
+            return
+        self.check(c1 - c0 - 1)
+        stack = np.arange(len(self.primes))
+        for j in range(c0, c1):
+            column = a[:, j:, j : j + 1]
+            self.reduce(column)
+            piv = j + (column[:, :, 0] != 0).argmax(axis=1)
+            swap = piv != j
+            if swap.any():
+                s, r = stack[swap], piv[swap]
+                held = a[s, j]
+                a[s, j] = a[s, r]
+                a[s, r] = held
+                self.swaps[swap] += 1
+            row = a[:, j : j + 1, j + 1 : c1]
+            self.reduce(row)
+            inv = [pow(int(v), -1, q) if v else 0 for v, q in zip(a[:, j, j].tolist(), self.primes)]
+            below = a[:, j + 1 :, j : j + 1]
+            below *= np.array(inv)[:, None, None]
+            self.reduce(below)
+            rest = a[:, j + 1 :, j + 1 : c1]
+            rest -= np.multiply(below, row, out=self.scratch(rest))
+
+
+def _det_mod_stack(m: np.ndarray, primes: list[int]) -> list[int]:
+    """det m mod p for each prime, by one LU over a (P, n, n) float64 stack.
+
+    Toledo-style recursion on the columns: factor the left half, solve its
+    unit-lower triangle against the right half (a recursive TRSM), subtract
+    the Schur product with one batched matmul, factor the right half.  At
+    ``_DET_LEAF`` columns or rows and below, the LU and the TRSM go column
+    by column, reducing only the column and row they pivot on and letting
+    the rest of the leaf gather its rank-one terms unreduced.
+
+    Exactness: the reduction x - rint(x * (1/p)) * p leaves |r| <= p/2 + 3,
+    so a residue is zero exactly when it is 0 mod p.  Between two reductions
+    an entry gathers at most k = ``_det_dot_length(n)`` products of a reduced
+    left factor (an L entry or a multiplier) and a residue below p, so it
+    and its rounding product stay below k * (p/2 + 3) * (p - 1) + 2p, which
+    is at most k * (p - 1)**2 + p for p > 16.  That bound is checked against
+    2**53, below which float64 holds every integer exactly.  Pivoting is
+    partial and per prime, and swaps whole rows; a prime with no pivot in
+    some column gets a zero on its diagonal.
+    """
+    n = m.shape[0]
+    lu = _StackLU(m, primes)
+    lu.lu(0, n)
+    diagonal = lu.a[:, np.arange(n), np.arange(n)].astype(np.int64).tolist()
+    return [(-1) ** int(t) * math.prod(d) % q for d, t, q in zip(diagonal, lu.swaps, primes)]
 
 
 def integer_determinant(matrix) -> int:
-    """Exact determinant via the same modular/CRT machinery."""
+    """Exact determinant: modular LU on float64 stacks of primes, then CRT
+    against the Hadamard row-norm bound."""
     m = _as_square_int_matrix(matrix)
     n = m.shape[0]
     if n == 0:
         return 1
     bits = 1.0
-    for i in range(n):
-        norm_sq = max(1, sum(int(x) * int(x) for x in m[i]))
-        bits += 0.5 * math.log2(norm_sq)
-    primes = _prime_batch(bits + 1)
-    residues = np.empty((len(primes), 1), dtype=np.int64)
-    for i, p in enumerate(primes):
-        residues[i, 0] = _det_mod(_mod_reduce(m, p), p)
-    return _crt_columns(residues, primes)[0]
+    for norm_sq in _square_norms(m, axis=1):
+        bits += 0.5 * math.log2(max(1, norm_sq))
+    primes = _prime_batch(bits + 1, _prime_width(_det_dot_length(n), _FLOAT64_BITS))
+    per_stack = max(1, _DET_STACK_BYTES // (8 * n * n))
+    residues = []
+    for start in range(0, len(primes), per_stack):
+        residues += _det_mod_stack(m, primes[start : start + per_stack])
+    return _crt_columns(np.array(residues, dtype=np.int64)[:, None], primes)[0]
 
 
 # ---------------------------------------------------------------------------

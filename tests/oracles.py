@@ -3,7 +3,8 @@
 Everything here is deliberately naive and kept separate from the library's
 algorithms: cofactor expansion for characteristic polynomials, subset
 enumeration for spanning trees, the literal existential definition for
-super-graph lifts, Fraction-based Gaussian elimination for rank.
+super-graph lifts, Fraction-based Gaussian elimination for rank, and
+per-prime int64 and fraction-free (Bareiss) elimination for determinants.
 """
 
 from __future__ import annotations
@@ -67,6 +68,54 @@ def naive_char_poly(matrix) -> tuple[int, ...]:
 
     result = det(full)
     return result + (0,) * (n + 1 - len(result))
+
+
+def det_mod(m, p: int) -> int:
+    """det m mod p by int64 Gaussian elimination over F_p, one column at a
+    time, pivoting on the first nonzero entry; m holds residues in [0, p)
+    and p < 2**31, so no product leaves int64."""
+    a = np.array(m, dtype=np.int64)
+    n = a.shape[0]
+    det = 1
+    for j in range(n):
+        nz = np.flatnonzero(a[j:, j])
+        if nz.size == 0:
+            return 0
+        piv = j + int(nz[0])
+        if piv != j:
+            a[[j, piv], :] = a[[piv, j], :]
+            det = p - det
+        pivot = int(a[j, j])
+        det = (det * pivot) % p
+        inv = pow(pivot, p - 2, p)
+        mult = (a[j + 1 :, j] * inv) % p
+        a[j + 1 :, j:] = (a[j + 1 :, j:] - mult[:, None] * a[j, j:]) % p
+    return det
+
+
+def bareiss_determinant(matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination over Python
+    ints; every division is exact."""
+    rows = [[int(x) for x in row] for row in np.asarray(matrix, dtype=object)]
+    n = len(rows)
+    sign, prev = 1, 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        for i in range(col + 1, n):
+            row = rows[i]
+            lead = row[col]
+            for j in range(col + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            row[col] = 0
+        prev = pivot
+    return sign * rows[n - 1][n - 1] if n else 1
 
 
 def spanning_trees_enumerated(adjacency) -> int:

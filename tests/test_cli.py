@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from superspectra import cli, spectral
 from superspectra.cli import main
 
 
@@ -197,3 +198,46 @@ class TestExportCommand:
         )
         assert code == 0
         assert len([line for line in out.splitlines() if line]) == 6
+
+
+HUGE_DIGITS = "1" + "0" * 4999 + "1"
+
+
+def test_spectrum_renders_tree_counts_past_the_int_str_limit(capsys, monkeypatch):
+    # str() refuses integers above 4300 digits; the payload must not
+    monkeypatch.setattr(cli, "spanning_tree_count", lambda graph: 10**5000 + 1)
+    selector = ("spectrum", "--kind", "csep", "--family", "d2n", "--n", "5")
+    code, out, _ = run(capsys, *selector, "--format", "json")
+    assert code == 0 and json.loads(out)["trees"] == HUGE_DIGITS
+    code, out, _ = run(capsys, *selector)
+    assert code == 0 and f"spanning trees: {HUGE_DIGITS}\n" in out
+
+
+class TestInternalCheckFailure:
+    """A failed internal cross-check exits 3, with a JSON error object under
+    --format json and a message on stderr otherwise; never a traceback."""
+
+    def test_spectrum_tree_count_paths_disagree(self, capsys, monkeypatch):
+        exact = spectral.integer_determinant
+        monkeypatch.setattr(spectral, "integer_determinant", lambda m: exact(m) + 1)
+        selector = ("spectrum", "--kind", "csep", "--family", "d2n", "--n", "5")
+        code, out, _ = run(capsys, *selector, "--format", "json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"] == "internal_check_failed"
+        assert "tree-count paths disagree" in payload["message"]
+        code, out, err = run(capsys, *selector)
+        assert code == 3 and out == ""
+        assert err.startswith("internal check failed: tree-count paths disagree")
+
+    def test_verify_trace_identity_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_twin_quotient", lambda m: (m, [(1, 1)]))
+        sweep = ("verify", "--kind", "csep", "--family", "q4n", "--range", "2..3", "--threads", "1")
+        code, out, _ = run(capsys, *sweep, "--format", "json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"] == "internal_check_failed"
+        assert "trace identity" in payload["message"]
+        for fmt in ("table", "csv"):
+            code, out, err = run(capsys, *sweep, "--format", fmt)
+            assert code == 3 and out == "" and "trace identity" in err

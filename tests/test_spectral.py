@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superspectra import (
@@ -27,10 +27,19 @@ from superspectra import (
     spanning_tree_count,
 )
 from superspectra import spectral
-from superspectra.spectral import _prime_batch, _prime_width, _twin_quotient
+from superspectra.spectral import (
+    _det_dot_length,
+    _det_mod_stack,
+    _prime_batch,
+    _prime_width,
+    _square_norms,
+    _twin_quotient,
+)
 
 from oracles import (
+    bareiss_determinant,
     component_count,
+    det_mod,
     naive_char_poly,
     random_simple_graph,
     rational_nullity,
@@ -398,6 +407,131 @@ class TestPrimeWidth:
             n = int(rng.integers(1, 7))
             m = rng.integers(-30, 31, size=(n, n))
             assert char_poly(m).coefficients == tuple(naive_char_poly(m))
+
+
+class TestKirchhoffLU:
+    """The Kirchhoff cofactor runs a modular LU on float64 stacks of primes.
+    It is exact while k * (p - 1)**2 + p < 2**53, k the longest sum of
+    products it forms between two reductions."""
+
+    def test_float64_width_edge(self):
+        # k = 128 (n = 257) still takes 23-bit primes, k = 129 (n = 258) not
+        assert _det_dot_length(257) == 128 and _det_dot_length(258) == 129
+        assert _prime_width(128, 53) == 23
+        assert _prime_width(129, 53) == 22
+        top = max(_prime_batch(200, 23))
+        assert 128 * (top - 1) ** 2 + top < 1 << 53 <= 129 * (top - 1) ** 2 + top
+        assert _prime_width(2, 53) == 26 and _prime_width(3, 53) == 25
+
+    def test_too_wide_prime_is_refused(self):
+        m = np.eye(20, dtype=np.int64)
+        with pytest.raises(AssertionError, match="float64"):
+            _det_mod_stack(m, [max(_prime_batch(30, 26))])
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 16, 17, 33, 70])
+    def test_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
+        # one less than _det_dot_length trips the run-time check, so the
+        # bound is asserted for the sums the recursion really forms
+        m = np.random.default_rng(n).integers(-9, 10, size=(n, n))
+        primes = _prime_batch(60, 20)
+        expected = [det_mod(m % p, p) for p in primes]
+        assert _det_mod_stack(m, primes) == expected
+        monkeypatch.setattr(spectral, "_det_dot_length", lambda size: _det_dot_length(size) - 1)
+        with pytest.raises(AssertionError, match="float64"):
+            _det_mod_stack(m, primes)
+
+    def test_anti_diagonal_permutation(self):
+        for n in (7, 40):
+            m = np.fliplr(np.eye(n, dtype=np.int64))
+            assert integer_determinant(m) == (-1) ** (n * (n - 1) // 2)
+
+    def test_zero_leading_minors(self):
+        m = np.random.default_rng(3).integers(-5, 6, size=(24, 24))
+        m[:12, :12] = 0
+        assert integer_determinant(m) == bareiss_determinant(m) != 0
+
+    def test_singular(self):
+        m = np.random.default_rng(4).integers(-5, 6, size=(30, 30))
+        m[17] = m[2] - 3 * m[9]
+        primes = _prime_batch(80, 23)
+        assert _det_mod_stack(m, primes) == [0] * len(primes)
+        assert integer_determinant(m) == 0
+
+    def test_primes_dividing_the_determinant(self, monkeypatch):
+        n = 12
+        width = _prime_width(_det_dot_length(n), 53)
+        p1, p2 = _prime_batch(60, width)[:2]
+        m = np.diag([p1, p2] + [1] * (n - 2))
+        seen = []
+
+        def spy(matrix, primes):
+            seen.extend(primes)
+            return _det_mod_stack(matrix, primes)
+
+        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
+        assert integer_determinant(m) == p1 * p2
+        assert seen[:2] == [p1, p2] and len(seen) == 3
+        assert _det_mod_stack(m, seen) == [0, 0, p1 * p2 % seen[2]]
+
+    def test_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
+        m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
+        sizes = []
+
+        def spy(matrix, primes):
+            sizes.append(len(primes))
+            return _det_mod_stack(matrix, primes)
+
+        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
+        for per_stack in (1, 3):
+            sizes.clear()
+            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", 8 * 40 * 40 * per_stack)
+            assert integer_determinant(m) == bareiss_determinant(m)
+            assert set(sizes[:-1]) == {per_stack}
+        assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
+
+    def test_object_entries_beyond_int64(self):
+        m = np.array([[2**70, 3], [5, 2**65 + 1]], dtype=object)
+        assert integer_determinant(m) == 2**70 * (2**65 + 1) - 15
+
+    def test_square_norms_int64_edge(self):
+        # n * max|a|**2 < 2**63 sums in int64; at 2**63 it switches to ints
+        below = np.full((2, 2), 2**31 - 1, dtype=np.int64)
+        assert _square_norms(below, axis=1) == [2 * (2**31 - 1) ** 2] * 2
+        at = np.full((2, 2), -(2**31), dtype=np.int64)
+        assert _square_norms(at, axis=0) == [2**63] * 2
+        extreme = np.array([[np.iinfo(np.int64).min, 0], [0, 1]])
+        assert _square_norms(extreme, axis=1) == [2**126, 1]
+
+    def test_offcatalog_lift_tree_count(self):
+        # order 200, 23-bit primes, several stacks: Kirchhoff against the
+        # twin-quotient eigenvalue product
+        graph = named_super_graph(build_group(DIHEDRAL, 100), "enhanced", "equality")
+        assert spanning_tree_count(graph, method="both") > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spread=st.sampled_from([1, 7, 1000, 2**30]),
+    zeros=st.sampled_from([0.0, 0.6, 0.95]),
+    dependent=st.booleans(),
+    per_stack=st.sampled_from([1, 2, 3, 5]),
+)
+@example(n=70, seed=1, spread=7, zeros=0.6, dependent=False, per_stack=3)
+@example(n=70, seed=2, spread=2**30, zeros=0.0, dependent=False, per_stack=1)
+def test_kirchhoff_lu_matches_oracles(n, seed, spread, zeros, dependent, per_stack):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-spread, spread + 1, size=(n, n))
+    m[rng.random((n, n)) < zeros] = 0
+    if dependent and n > 1:
+        m[rng.integers(n)] = m[0] - m[n - 1]
+    primes = _prime_batch(30 * n, _prime_width(_det_dot_length(n), 53))
+    assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
+    assert _det_mod_stack(m, primes[:1]) == [det_mod(m % primes[0], primes[0])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_DET_STACK_BYTES", 8 * n * n * per_stack)
+        assert integer_determinant(m) == bareiss_determinant(m)
 
 
 def full_path(lap):
