@@ -434,30 +434,24 @@ class _StackLU:
         for i, q in enumerate(primes):
             # residues below 2**26 cast to float64 exactly
             np.remainder(m, q, out=self.a[i], casting="unsafe")
-        # one buffer for every temporary: the largest is the first Schur
-        # update or a leaf's rank-one term
-        self.buffer = np.empty(len(primes) * max((n - n // 2) ** 2, n * _DET_LEAF))
         self.primes = primes
         self.p = np.array(primes, dtype=np.float64)[:, None, None]
         self.p_inv = 1.0 / self.p
         self.swaps = np.zeros(len(primes), dtype=np.int64)
-
-    def scratch(self, like: np.ndarray) -> np.ndarray:
-        return self.buffer[: like.size].reshape(like.shape)
 
     def check(self, length: int) -> None:
         if length > self.k:
             raise AssertionError("sum of products longer than the float64 bound allows")
 
     def reduce(self, c: np.ndarray) -> None:
-        q = np.multiply(c, self.p_inv, out=self.scratch(c))
+        q = c * self.p_inv
         np.rint(q, out=q)
         q *= self.p
         c -= q
 
     def subtract_product(self, c: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
         self.check(left.shape[-1])
-        c -= np.matmul(left, right, out=self.scratch(c))
+        c -= np.matmul(left, right)
         self.reduce(c)
 
     def trsm(self, r0: int, r1: int, c0: int, c1: int) -> None:
@@ -474,8 +468,7 @@ class _StackLU:
         for t in range(r0, r1):
             row = a[:, t : t + 1, c0:c1]
             self.reduce(row)
-            rest = a[:, t + 1 : r1, c0:c1]
-            rest -= np.multiply(a[:, t + 1 : r1, t : t + 1], row, out=self.scratch(rest))
+            a[:, t + 1 : r1, c0:c1] -= a[:, t + 1 : r1, t : t + 1] * row
 
     def lu(self, c0: int, c1: int) -> None:
         """Factor columns c0:c1 of rows c0:n: L below the diagonal, U on and
@@ -507,8 +500,7 @@ class _StackLU:
             below = a[:, j + 1 :, j : j + 1]
             below *= np.array(inv)[:, None, None]
             self.reduce(below)
-            rest = a[:, j + 1 :, j + 1 : c1]
-            rest -= np.multiply(below, row, out=self.scratch(rest))
+            a[:, j + 1 :, j + 1 : c1] -= below * row
 
 
 def _det_mod_stack(m: np.ndarray, primes: list[int]) -> list[int]:
