@@ -5,8 +5,13 @@ the closed-form structural builders for the two conjugacy lifts.
 join/union/composition expression, on the same canonical vertex indexing the
 group tables use, so equality with the definition-built graph is plain
 adjacency equality.  The builders derive class memberships from exponent
-arithmetic alone; they never consult the conjugation machinery, which keeps
-the two construction paths independent.
+arithmetic alone; they take only the family names and bounds from
+:mod:`groups` and never consult its tables or queries, which keeps the two
+construction paths independent.
+
+:func:`compose` builds H[G_1, .., G_k] as one gather of the outer adjacency
+over the part index of every vertex, then writes the k diagonal part
+blocks; there is no loop over pairs of parts.
 """
 
 from __future__ import annotations
@@ -80,21 +85,22 @@ class CompositionSpec:
 
 def compose(spec: CompositionSpec) -> SimpleGraph:
     """Generalized composition: intra-part edges from the parts, complete
-    joins between parts adjacent in the outer graph."""
+    joins between parts adjacent in the outer graph.
+
+    Vertex v of the result lies in part ``part_of[v]``, so the cross-part
+    edges are the outer adjacency gathered at (part_of, part_of); the outer
+    graph has no loops, so the diagonal part blocks come out empty and take
+    the parts' own adjacency.
+    """
     k = spec.outer.vertex_count
     if len(spec.parts) != k:
         raise ArityMismatch(f"outer graph has {k} vertices but {len(spec.parts)} parts given")
     offsets = spec.part_offsets
-    n = offsets[-1]
-    adj = np.zeros((n, n), dtype=bool)
+    part_of = np.repeat(np.arange(k), np.diff(offsets))
+    adj = spec.outer.adjacency[part_of][:, part_of]
     for i, part in enumerate(spec.parts):
         lo, hi = offsets[i], offsets[i + 1]
         adj[lo:hi, lo:hi] = part.adjacency
-    for i in range(k):
-        for j in range(i + 1, k):
-            if spec.outer.adjacency[i, j]:
-                adj[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = True
-                adj[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = True
     return SimpleGraph(adj)
 
 
@@ -194,6 +200,6 @@ def structural_graph(kind: str, family: str, n: int) -> SimpleGraph:
     spec = CompositionSpec(outer=outer, parts=tuple(complete(len(p)) for p in parts))
     composed = compose(spec)
     perm = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
-    adj = np.zeros_like(composed.adjacency)
-    adj[np.ix_(perm, perm)] = composed.adjacency
-    return SimpleGraph(adj)
+    position = np.empty_like(perm)  # composed vertex of each canonical index
+    position[perm] = np.arange(perm.size)
+    return SimpleGraph(composed.adjacency[position][:, position])

@@ -19,9 +19,10 @@ from .errors import DimensionMismatch
 from .groups import (
     GroupTable,
     Partition,
+    _cyclic_membership,
+    _maximal_cyclic_rows,
     conjugacy_classes,
     equality_partition,
-    maximal_cyclic_subgroups,
     order_partition,
 )
 
@@ -100,16 +101,8 @@ def graph_from_edges(n: int, edges, group: GroupTable | None = None) -> SimpleGr
 
 def power_graph(table: GroupTable) -> SimpleGraph:
     """x ~ y when one is a positive power of the other."""
-    n = table.order
-    is_power = np.zeros((n, n), dtype=bool)  # is_power[x, y]: y in {x, x^2, ...}
-    for x in range(n):
-        cur = x
-        while True:
-            is_power[x, cur] = True
-            if cur == table.identity:
-                break
-            cur = int(table.product[cur, x])
-    adj = is_power | is_power.T
+    member = _cyclic_membership(table)  # member[x, y]: y in {x, x^2, ...}
+    adj = member | member.T
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=table)
 
@@ -117,14 +110,16 @@ def power_graph(table: GroupTable) -> SimpleGraph:
 def enhanced_power_graph(table: GroupTable) -> SimpleGraph:
     """x ~ y when both lie in a common cyclic subgroup.
 
-    Membership in a common *maximal* cyclic subgroup is equivalent and
-    cheaper, since those are already computed.
+    Membership in a common *maximal* cyclic subgroup is equivalent.  The
+    maximal subgroups of one size are written as cliques in one scatter.
     """
     n = table.order
+    rows = _maximal_cyclic_rows(table)
+    sizes = rows.sum(axis=1)
     adj = np.zeros((n, n), dtype=bool)
-    for sub in maximal_cyclic_subgroups(table):
-        idx = sorted(sub)
-        adj[np.ix_(idx, idx)] = True
+    for size in np.unique(sizes):
+        idx = np.nonzero(rows[sizes == size])[1].reshape(-1, size)
+        adj[idx[:, :, None], idx[:, None, :]] = True
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=table)
 

@@ -2,6 +2,14 @@
 cyclic families, plus exact structure queries (element orders, center,
 conjugacy classes, cyclic subgroups).
 
+The queries work on whole tables rather than one element at a time.  One
+N x N membership table (x in <g>, built by advancing every generator at
+once) gives the element orders as row sums, the cyclic subgroups as its
+distinct rows and the maximal ones by one covering test per element order.
+Conjugacy classes are labelled by each element's least conjugate.
+``build_group`` refuses an order whose product and membership tables would
+exceed a fixed memory budget, before allocating either.
+
 Element indexing is canonical across the package: the rotations
 ``a^0 .. a^{k-1}`` occupy indices ``0 .. k-1`` (k = n, 2n, 4n for the
 dihedral, quaternion and semidihedral groups of parameter n; k = n for the
@@ -24,6 +32,13 @@ CYCLIC = "cyclic"
 FAMILIES = (DIHEDRAL, QUATERNION, SEMIDIHEDRAL, CYCLIC)
 
 _MIN_N = {DIHEDRAL: 3, QUATERNION: 2, SEMIDIHEDRAL: 2, CYCLIC: 1}
+
+# Bytes allowed for one group's N x N int64 product table plus the N x N
+# bool membership table of the whole-table queries: orders up to 10922.
+_TABLE_BUDGET_BYTES = 1 << 30
+# Rows of g per conjugation step in conjugacy_classes: two (chunk, N) int64
+# index arrays, 4 MB at N = 2000.
+_CONJUGATION_CHUNK = 128
 
 
 def _rotation_label(i: int) -> str:
@@ -87,12 +102,19 @@ class GroupTable:
         return self.labels[g]
 
 
+def _table_bytes(order: int) -> int:
+    """Bytes of the N x N int64 product table plus the N x N bool
+    membership table for a group of order N."""
+    return order * order * (np.dtype(np.int64).itemsize + np.dtype(np.bool_).itemsize)
+
+
 def build_group(family: str, n: int) -> GroupTable:
     """Build one of the four supported families from its presentation.
 
     The multiplication rules are the closed forms obtained by normalising
     words to ``a^i`` / ``a^i b``; correctness is guarded by the exhaustive
-    axiom check (:func:`verify_group_axioms`) rather than trusted.
+    axiom check (:func:`verify_group_axioms`) rather than trusted.  Orders
+    whose tables exceed the memory budget are refused before any allocation.
     """
     if family not in FAMILIES:
         raise ParameterOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -107,6 +129,12 @@ def build_group(family: str, n: int) -> GroupTable:
         k = 2 * n
     else:
         k = 4 * n
+    order = k if family == CYCLIC else 2 * k
+    if _table_bytes(order) > _TABLE_BUDGET_BYTES:
+        raise ParameterOutOfRange(
+            f"{family} n={n} has order {order}; its tables need {_table_bytes(order)} bytes, "
+            f"over the {_TABLE_BUDGET_BYTES}-byte budget"
+        )
 
     i = np.arange(k, dtype=np.int64)
     rot_rot = (i[:, None] + i[None, :]) % k
@@ -186,7 +214,12 @@ def center(table: GroupTable) -> frozenset[int]:
 
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """An equivalence relation on 0..N-1; blocks ordered by least member."""
+    """An equivalence relation on 0..N-1.
+
+    Members ascend within each block.  The constructing function fixes the
+    block order: least member for conjugacy classes and the equality
+    partition, increasing element order for :func:`order_partition`.
+    """
 
     block_of: np.ndarray
     blocks: tuple[tuple[int, ...], ...]
@@ -230,59 +263,110 @@ class Partition:
         return all(len({int(other.block_of[g]) for g in block}) == 1 for block in self.blocks)
 
 
-def _partition_from_blocks(n: int, blocks: list[tuple[int, ...]]) -> Partition:
-    block_of = np.empty(n, dtype=np.int64)
-    for bid, block in enumerate(blocks):
-        for g in block:
-            block_of[g] = bid
-    return Partition(block_of=block_of, blocks=tuple(blocks))
+def _partition_from_labels(block_of: np.ndarray) -> Partition:
+    """The partition whose block ids are ``block_of`` (0..B-1, all used);
+    members ascend within each block."""
+    members = np.argsort(block_of, kind="stable")
+    ends = np.cumsum(np.bincount(block_of))[:-1]
+    blocks = tuple(tuple(b.tolist()) for b in np.split(members, ends))
+    return Partition(block_of=block_of.astype(np.int64), blocks=blocks)
 
 
 def equality_partition(n: int) -> Partition:
     """Every element alone in its own block."""
-    return _partition_from_blocks(n, [(g,) for g in range(n)])
+    return _partition_from_labels(np.arange(n, dtype=np.int64))
 
 
 def conjugacy_classes(table: GroupTable) -> Partition:
-    """Orbit partition of the conjugation action, by brute-force closure."""
+    """Orbit partition of the conjugation action.
+
+    Each element is labelled by its least conjugate, the minimum of
+    g*x*g^-1 over all g, taken _CONJUGATION_CHUNK rows of g at a time so
+    that no N x N index temporary is formed.  Sorting the labels orders the
+    classes by least member.
+    """
     p = table.product
     inv = table.inverse
     n = table.order
-    assigned = np.full(n, -1, dtype=np.int64)
-    blocks: list[tuple[int, ...]] = []
-    for x in range(n):
-        if assigned[x] >= 0:
-            continue
-        orbit = np.unique(p[p[:, x], inv])  # g*x*g^-1 over all g
-        assigned[orbit] = len(blocks)
-        blocks.append(tuple(int(g) for g in orbit))
-    return Partition(block_of=assigned, blocks=tuple(blocks))
+    least = np.arange(n)
+    for lo in range(0, n, _CONJUGATION_CHUNK):
+        g = np.arange(lo, min(lo + _CONJUGATION_CHUNK, n))
+        np.minimum(least, p[p[g], inv[g, None]].min(axis=0), out=least)
+    _, block_of = np.unique(least, return_inverse=True)
+    return _partition_from_labels(block_of)
+
+
+def _cyclic_membership(table: GroupTable) -> np.ndarray:
+    """N x N bool matrix with ``member[g, x]`` set when x lies in <g>.
+
+    Every generator advances at once, ``cur = product[cur, gens]``, and
+    drops out when its power reaches the identity, so the loop runs as many
+    times as the largest element order, on shrinking index arrays.  Row sums
+    are the element orders.
+    """
+    p = table.product
+    n = table.order
+    member = np.zeros((n, n), dtype=bool)
+    member[:, table.identity] = True
+    gens = np.arange(n)
+    cur = gens
+    while gens.size:
+        member[gens, cur] = True
+        live = cur != table.identity
+        gens = gens[live]
+        cur = p[cur[live], gens]
+    return member
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of one row of each distinct value in a bool matrix.
+
+    Each packed row is viewed as one opaque byte string, which np.unique
+    sorts far faster than it sorts rows with ``axis=0``.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return np.unique(keys, return_index=True)[1]
+
+
+def _maximal_cyclic_rows(table: GroupTable) -> np.ndarray:
+    """Membership rows of the maximal cyclic subgroups, one row each.
+
+    <g> is maximal when no <h> of larger order contains g: a strictly larger
+    cyclic subgroup containing <g> contains g, and any <h> containing g
+    contains <g>.  Orders are visited from the largest down, with ``covered``
+    marking the elements of every <h> of larger order seen so far.
+    """
+    member = _cyclic_membership(table)
+    orders = member.sum(axis=1)
+    covered = np.zeros(table.order, dtype=bool)
+    maximal = np.zeros(table.order, dtype=bool)
+    for k in np.unique(orders)[::-1]:
+        at = orders == k
+        maximal[at] = ~covered[at]
+        covered |= member[at].any(axis=0)
+    rows = member[maximal]
+    return rows[_distinct_rows(rows)]
+
+
+def _subgroup_sets(rows: np.ndarray) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset(np.flatnonzero(row).tolist()) for row in rows)
 
 
 def order_partition(table: GroupTable) -> Partition:
-    """Coarsest partition grouping elements of equal order."""
-    orders = [element_order(table, g) for g in range(table.order)]
-    by_order: dict[int, list[int]] = {}
-    for g, k in enumerate(orders):
-        by_order.setdefault(k, []).append(g)
-    blocks = [tuple(by_order[k]) for k in sorted(by_order)]
-    return _partition_from_blocks(table.order, blocks)
+    """Coarsest partition grouping elements of equal order; blocks in
+    increasing element order, members ascending within a block."""
+    orders = _cyclic_membership(table).sum(axis=1)
+    _, block_of = np.unique(orders, return_inverse=True)
+    return _partition_from_labels(block_of)
 
 
 def cyclic_subgroups(table: GroupTable) -> frozenset[frozenset[int]]:
     """All subgroups <g>."""
-    subgroups = set()
-    for g in range(table.order):
-        members = [table.identity]
-        cur = g
-        while cur != table.identity:
-            members.append(cur)
-            cur = int(table.product[cur, g])
-        subgroups.add(frozenset(members))
-    return frozenset(subgroups)
+    member = _cyclic_membership(table)
+    return _subgroup_sets(member[_distinct_rows(member)])
 
 
 def maximal_cyclic_subgroups(table: GroupTable) -> frozenset[frozenset[int]]:
     """Cyclic subgroups not strictly contained in another cyclic subgroup."""
-    subs = cyclic_subgroups(table)
-    return frozenset(s for s in subs if not any(s < t for t in subs))
+    return _subgroup_sets(_maximal_cyclic_rows(table))

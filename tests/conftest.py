@@ -3,6 +3,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+# every group of order at most 160 in each family, for the oracle sweeps
+ORACLE_SWEEP = (
+    [("dihedral", n) for n in range(3, 81)]
+    + [("quaternion", n) for n in range(2, 41)]
+    + [("semidihedral", n) for n in range(2, 21)]
+    + [("cyclic", n) for n in range(1, 161)]
+)
+
 CRITERIA = {
     1: "spectrum reproduction, enhanced-power conjugacy lift of D_2n",
     2: "spectrum reproduction, enhanced-power conjugacy lift of Q_4n",

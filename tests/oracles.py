@@ -3,8 +3,10 @@
 Everything here is deliberately naive and kept separate from the library's
 algorithms: cofactor expansion for characteristic polynomials, subset
 enumeration for spanning trees, the literal existential definition for
-super-graph lifts, Fraction-based Gaussian elimination for rank, and
-per-prime int64 and fraction-free (Bareiss) elimination for determinants.
+super-graph lifts, Fraction-based Gaussian elimination for rank,
+per-prime int64 and fraction-free (Bareiss) elimination for determinants,
+and the per-element group queries and pair-loop composition that the
+library's whole-table versions replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+
+from superspectra import ArityMismatch, CompositionSpec, Partition, SimpleGraph, element_order
 
 
 def naive_char_poly(matrix) -> tuple[int, ...]:
@@ -119,7 +123,47 @@ def bareiss_determinant(matrix) -> int:
 
 
 def spanning_trees_enumerated(adjacency) -> int:
-    """Count (N-1)-edge acyclic edge subsets by exhaustive enumeration."""
+    """Count (N-1)-edge acyclic edge subsets by exhaustive enumeration.
+
+    The subsets are those of ``itertools.combinations`` over the edge list,
+    grown one edge position at a time as numpy batches of prefixes, one
+    batch per first edge.  Every vertex of a prefix carries a label; an edge
+    whose ends share a label closes a cycle, and otherwise every vertex with
+    the first end's label takes the second end's (union by relabel).  A
+    prefix that closes a cycle is dropped with every subset extending it,
+    as the loop version abandons a subset at its first cycle.
+    """
+    adj = np.asarray(adjacency, dtype=bool)
+    n = adj.shape[0]
+    if n == 1:
+        return 1
+    us, vs = np.nonzero(np.triu(adj, 1))
+    m, r = us.size, n - 1
+    count = 0
+    for first in range(m - r + 1):
+        label = np.arange(n)[None, :]
+        label = np.where(label == us[first], vs[first], label)
+        last = np.array([first])
+        for j in range(1, r):
+            # extend each prefix by every later edge that leaves room for the rest
+            counts = (m - r + j) - last
+            starts = np.cumsum(counts) - counts
+            prefix = np.repeat(np.arange(last.size), counts)
+            edge = np.repeat(last + 1 - starts, counts) + np.arange(prefix.size)
+            label = label[prefix]
+            rows = np.arange(prefix.size)
+            lu = label[rows, us[edge]]
+            lv = label[rows, vs[edge]]
+            acyclic = lu != lv
+            label, lu, lv, last = label[acyclic], lu[acyclic], lv[acyclic], edge[acyclic]
+            np.copyto(label, lv[:, None], where=label == lu[:, None])
+        count += last.size
+    return count
+
+
+def spanning_trees_enumerated_loop(adjacency) -> int:
+    """Count (N-1)-edge acyclic edge subsets one subset at a time, with a
+    path-halving union-find; the reference for the batched enumeration."""
     adj = np.asarray(adjacency, dtype=bool)
     n = adj.shape[0]
     if n == 1:
@@ -317,3 +361,75 @@ def random_simple_graph(rng, n: int, p: float):
             if rng.random() < p:
                 adj[u, v] = adj[v, u] = True
     return adj
+
+
+# ---------------------------------------------------------------------------
+# per-element group queries and the pair-loop composition
+
+
+def _partition_from_blocks(n: int, blocks: list[tuple[int, ...]]) -> Partition:
+    block_of = np.empty(n, dtype=np.int64)
+    for bid, block in enumerate(blocks):
+        for g in block:
+            block_of[g] = bid
+    return Partition(block_of=block_of, blocks=tuple(blocks))
+
+
+def conjugacy_classes_by_orbits(table) -> Partition:
+    """Orbit partition of the conjugation action, by brute-force closure."""
+    p = table.product
+    inv = table.inverse
+    n = table.order
+    assigned = np.full(n, -1, dtype=np.int64)
+    blocks: list[tuple[int, ...]] = []
+    for x in range(n):
+        if assigned[x] >= 0:
+            continue
+        orbit = np.unique(p[p[:, x], inv])  # g*x*g^-1 over all g
+        assigned[orbit] = len(blocks)
+        blocks.append(tuple(int(g) for g in orbit))
+    return Partition(block_of=assigned, blocks=tuple(blocks))
+
+
+def order_partition_by_element_order(table) -> Partition:
+    """Coarsest partition grouping elements of equal order."""
+    orders = [element_order(table, g) for g in range(table.order)]
+    by_order: dict[int, list[int]] = {}
+    for g, k in enumerate(orders):
+        by_order.setdefault(k, []).append(g)
+    blocks = [tuple(by_order[k]) for k in sorted(by_order)]
+    return _partition_from_blocks(table.order, blocks)
+
+
+def cyclic_subgroup_by_powers(table, g: int) -> frozenset[int]:
+    """<g>, by multiplying g into itself until the identity."""
+    members = [table.identity]
+    cur = g
+    while cur != table.identity:
+        members.append(cur)
+        cur = int(table.product[cur, g])
+    return frozenset(members)
+
+
+def cyclic_subgroups_by_powers(table) -> frozenset[frozenset[int]]:
+    """All subgroups <g>."""
+    return frozenset(cyclic_subgroup_by_powers(table, g) for g in range(table.order))
+
+
+def compose_pairwise(spec: CompositionSpec) -> SimpleGraph:
+    """Generalized composition, joining each adjacent pair of parts in turn."""
+    k = spec.outer.vertex_count
+    if len(spec.parts) != k:
+        raise ArityMismatch(f"outer graph has {k} vertices but {len(spec.parts)} parts given")
+    offsets = spec.part_offsets
+    n = offsets[-1]
+    adj = np.zeros((n, n), dtype=bool)
+    for i, part in enumerate(spec.parts):
+        lo, hi = offsets[i], offsets[i + 1]
+        adj[lo:hi, lo:hi] = part.adjacency
+    for i in range(k):
+        for j in range(i + 1, k):
+            if spec.outer.adjacency[i, j]:
+                adj[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = True
+                adj[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = True
+    return SimpleGraph(adj)

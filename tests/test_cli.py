@@ -37,6 +37,12 @@ class TestGroupCommand:
         assert code == 2
         assert "n >= 3" in err
 
+    def test_order_over_the_memory_budget_exits_2(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--family", "sd8n", "--n", "10000", "--base", "enhanced",
+                           "--relation", "conjugacy", "--format", "json")
+        assert code == 2
+        assert "order 80000" in err and "budget" in err
+
 
 class TestSpectrumCommand:
     def test_csep_d10_json(self, capsys):

@@ -25,7 +25,7 @@ from superspectra import (
     union,
 )
 
-from oracles import component_count
+from oracles import component_count, compose_pairwise
 
 STRUCTURAL_SWEEP = (
     [(CSEP, DIHEDRAL, n) for n in range(3, 13)]
@@ -124,6 +124,20 @@ class TestCompose:
                 j, vp = origin(v)
                 expected = parts[i].has_edge(up, vp) if i == j else outer.has_edge(i, j)
                 assert got.has_edge(u, v) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_pair_loop_oracle(self, data):
+        def random_graph(n):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            return graph_from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+        k = data.draw(st.integers(min_value=1, max_value=8))
+        outer = random_graph(k)
+        parts = tuple(random_graph(data.draw(st.integers(min_value=1, max_value=5))) for _ in range(k))
+        spec = CompositionSpec(outer=outer, parts=parts)
+        assert np.array_equal(compose(spec).adjacency, compose_pairwise(spec).adjacency)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

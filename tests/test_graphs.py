@@ -28,9 +28,11 @@ from superspectra import (
 )
 from superspectra.graphs import _exact_float_dtype
 
+from conftest import ORACLE_SWEEP
 from oracles import (
     brute_force_power_edges,
     brute_force_super,
+    cyclic_subgroup_by_powers,
     enhanced_by_common_cyclic,
 )
 
@@ -111,6 +113,20 @@ class TestEnhancedPowerGraph:
         assert np.array_equal(
             enhanced_power_graph(table).adjacency, enhanced_by_common_cyclic(table)
         )
+
+
+@pytest.mark.parametrize("family,n", ORACLE_SWEEP)
+def test_base_graphs_match_per_element_oracles(family, n):
+    table = build_group(family, n)
+    power = np.zeros((table.order, table.order), dtype=bool)
+    for x in range(table.order):
+        power[x, list(cyclic_subgroup_by_powers(table, x))] = True
+    power |= power.T
+    np.fill_diagonal(power, False)
+    assert np.array_equal(power_graph(table).adjacency, power)
+    if table.order <= 64:  # the direct search is cubic in the order
+        assert set(power_graph(table).edges()) == brute_force_power_edges(table)
+    assert np.array_equal(enhanced_power_graph(table).adjacency, enhanced_by_common_cyclic(table))
 
 
 class TestCommutingGraph:

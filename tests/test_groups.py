@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,15 @@ from superspectra import (
     maximal_cyclic_subgroups,
     order_partition,
     verify_group_axioms,
+)
+from superspectra import groups
+from superspectra.groups import _TABLE_BUDGET_BYTES, _table_bytes
+
+from conftest import ORACLE_SWEEP
+from oracles import (
+    conjugacy_classes_by_orbits,
+    cyclic_subgroups_by_powers,
+    order_partition_by_element_order,
 )
 
 SMALL_SWEEP = (
@@ -273,6 +285,50 @@ class TestCyclicSubgroups:
             assert not any(s < t for t in subs)
         for s in subs - maximal:
             assert any(s < t for t in subs)
+
+
+@pytest.mark.parametrize("family,n", ORACLE_SWEEP)
+def test_whole_table_queries_match_per_element_oracles(family, n):
+    table = build_group(family, n)
+    for got, expected in (
+        (order_partition(table), order_partition_by_element_order(table)),
+        (conjugacy_classes(table), conjugacy_classes_by_orbits(table)),
+    ):
+        assert got.blocks == expected.blocks
+        assert np.array_equal(got.block_of, expected.block_of)
+        assert got.block_of.dtype == expected.block_of.dtype
+    subs = cyclic_subgroups_by_powers(table)
+    assert cyclic_subgroups(table) == subs
+    assert maximal_cyclic_subgroups(table) == frozenset(s for s in subs if not any(s < t for t in subs))
+
+
+class TestMemoryAdmission:
+    def test_estimate_counts_the_product_and_membership_tables(self):
+        assert _table_bytes(2000) == 2000 * 2000 * (8 + 1)
+
+    def test_budget_edge(self):
+        edge = math.isqrt(_TABLE_BUDGET_BYTES // 9)
+        assert _table_bytes(edge) <= _TABLE_BUDGET_BYTES < _table_bytes(edge + 1)
+        assert edge >= 2000
+        with pytest.raises(ParameterOutOfRange, match="budget"):
+            build_group(CYCLIC, edge + 1)
+
+    def test_refusal_is_at_the_budget_edge(self, monkeypatch):
+        monkeypatch.setattr(groups, "_TABLE_BUDGET_BYTES", _table_bytes(48))
+        for family, n in ((CYCLIC, 48), (DIHEDRAL, 24), (QUATERNION, 12), (SEMIDIHEDRAL, 6)):
+            assert build_group(family, n).order == 48
+            with pytest.raises(ParameterOutOfRange, match="budget"):
+                build_group(family, n + 1)
+
+    def test_refusal_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterOutOfRange, match="budget"):
+                build_group(SEMIDIHEDRAL, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPartitionType:

@@ -45,6 +45,7 @@ from oracles import (
     rational_nullity,
     spanning_trees_by_complement,
     spanning_trees_enumerated,
+    spanning_trees_enumerated_loop,
 )
 
 
@@ -345,6 +346,19 @@ class TestSpanningTrees:
             n = int(rng.integers(3, 8))
             adj = random_simple_graph(rng, n, float(rng.uniform(0.6, 1.0)))
             assert spanning_trees_by_complement(adj) == spanning_trees_enumerated(adj)
+
+    def test_batched_enumeration_matches_loop(self):
+        rng = np.random.default_rng(47)
+        graphs = [random_simple_graph(rng, int(rng.integers(2, 8)), float(rng.uniform(0.2, 1.0)))
+                  for _ in range(20)]
+        # no edges, one vertex, fewer edges than a tree needs, a cycle, K6, a
+        # disconnected pair of edges
+        graphs += [np.zeros((3, 3), dtype=bool), np.zeros((1, 1), dtype=bool),
+                   graph_from_edges(5, [(0, 1), (1, 2), (2, 3)]).adjacency,
+                   graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).adjacency,
+                   complete(6).adjacency, graph_from_edges(4, [(0, 1), (2, 3)]).adjacency]
+        for adj in graphs:
+            assert spanning_trees_enumerated(adj) == spanning_trees_enumerated_loop(adj)
 
 
 class TestIntegerDeterminant:
