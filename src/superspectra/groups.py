@@ -300,14 +300,13 @@ def _cyclic_membership(table: GroupTable) -> np.ndarray:
     """N x N bool matrix with ``member[g, x]`` set when x lies in <g>.
 
     Every generator advances at once, ``cur = product[cur, gens]``, and
-    drops out when its power reaches the identity, so the loop runs as many
-    times as the largest element order, on shrinking index arrays.  Row sums
-    are the element orders.
+    drops out once its power reaching the identity is recorded, so the loop
+    runs as many times as the largest element order, on shrinking index
+    arrays.  Row sums are the element orders.
     """
     p = table.product
     n = table.order
     member = np.zeros((n, n), dtype=bool)
-    member[:, table.identity] = True
     gens = np.arange(n)
     cur = gens
     while gens.size:
