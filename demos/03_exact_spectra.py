@@ -5,12 +5,11 @@ Run:  python demos/03_exact_spectra.py
 """
 
 from superspectra import (
-    NotIntegral,
+    analyze,
     build_group,
     char_poly,
     factor_integer_roots,
     graph_from_edges,
-    integral_spectrum,
     laplacian,
     named_super_graph,
     spanning_tree_count,
@@ -25,9 +24,9 @@ poly = char_poly(lap)
 print("char poly :", poly)
 pairs, _ = factor_integer_roots(poly, g.vertex_count)
 print("factored  :", " ".join(f"(x-{v})^{m}" for v, m in pairs))
-spectrum = integral_spectrum(lap)
-print("spectrum  :", spectrum.compact())
-print("trees     :", spanning_tree_count(g))
+result = analyze(g)  # spectrum and tree count from one twin-quotient char poly
+print("spectrum  :", result.spectrum.compact())
+print("trees     :", result.trees)
 
 print("\n=== two independent construction paths, equal edge-for-edge ===")
 built = named_super_graph(build_group("semidihedral", 4), "commuting", "conjugacy")
@@ -42,9 +41,6 @@ print(f"Kirchhoff cofactor     : {by_det}")
 print("agree:", by_eigen == by_det)
 
 print("\n=== a graph that is not Laplacian-integral ===")
-path4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-try:
-    integral_spectrum(laplacian(path4))
-except NotIntegral as exc:
-    print("path on 4 vertices: integer roots", dict(exc.partial))
-    print("irreducible residual factor:", exc.residual)
+path4 = analyze(graph_from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+print("path on 4 vertices: integral", path4.integral, "integer roots", dict(path4.spectrum.pairs))
+print("irreducible residual factor:", path4.residual)

@@ -9,7 +9,7 @@ import os
 import sys
 
 from .compose import KINDS
-from .errors import NotIntegral, ParameterOutOfRange, UnsupportedCombination
+from .errors import ParameterOutOfRange, UnsupportedCombination
 from .formulas import BASE_FOR_KIND, decimal_string, verify
 from .graphs import BASES, RELATIONS, SimpleGraph, named_super_graph
 from .groups import (
@@ -22,7 +22,7 @@ from .groups import (
     conjugacy_classes,
     maximal_cyclic_subgroups,
 )
-from .spectral import integral_spectrum, laplacian, spanning_tree_count
+from .spectral import analyze, spanning_tree_count
 
 FAMILY_TOKENS = {"d2n": DIHEDRAL, "q4n": QUATERNION, "sd8n": SEMIDIHEDRAL, "cyclic": CYCLIC}
 
@@ -95,16 +95,26 @@ def cmd_group(args) -> int:
     return 0
 
 
-def _spectrum_payload(args) -> dict:
+def cmd_spectrum(args) -> int:
     graph, name = _selected_graph(args)
-    lap = laplacian(graph)
-    spectrum = integral_spectrum(lap)
-    trees = spanning_tree_count(graph)
+    result = analyze(graph)
+    if not result.integral:
+        if args.format == "json":
+            _emit(json.dumps({"error": "not_integral", "residual": str(result.residual)}, indent=2), args.output)
+        else:
+            print(f"graph is not Laplacian-integral; residual factor: {result.residual}", file=sys.stderr)
+        return 1
+    trees = spanning_tree_count(graph, method="determinant")
+    if trees != result.trees:
+        raise AssertionError(
+            f"tree-count paths disagree: {decimal_string(result.trees)} vs {decimal_string(trees)}"
+        )
+    spectrum = result.spectrum
     factored = " * ".join(
         ("x" if v == 0 else f"(x - {v})") + (f"^{m}" if m > 1 else "")
         for v, m in sorted(spectrum.pairs)
     )
-    return {
+    payload = {
         "family": args.family,
         "n": args.n,
         "graph": name,
@@ -114,18 +124,6 @@ def _spectrum_payload(args) -> dict:
         "char_poly_factored": factored,
         "trees": decimal_string(trees),
     }
-
-
-def cmd_spectrum(args) -> int:
-    try:
-        payload = _spectrum_payload(args)
-    except NotIntegral as exc:
-        message = f"graph is not Laplacian-integral; residual factor: {exc.residual}"
-        if args.format == "json":
-            _emit(json.dumps({"error": "not_integral", "residual": str(exc.residual)}, indent=2), args.output)
-        else:
-            print(message, file=sys.stderr)
-        return 1
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.output)
         return 0

@@ -19,10 +19,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .compose import CSCOM, CSEP, KINDS, structural_graph
-from .errors import NotIntegral, ParameterOutOfRange, UnsupportedCombination
+from .errors import ParameterOutOfRange, UnsupportedCombination
 from .graphs import named_super_graph
 from .groups import DIHEDRAL, QUATERNION, SEMIDIHEDRAL, _MIN_N, build_group
-from .spectral import SpectrumMultiset, integral_spectrum, laplacian, spanning_tree_count
+from .spectral import SpectrumMultiset, analyze, spanning_tree_count
 
 BASE_FOR_KIND = {CSEP: "enhanced", CSCOM: "commuting"}
 
@@ -203,15 +203,12 @@ def _verify_case(kind: str, family: str, n: int) -> CaseResult:
     structural = structural_graph(kind, family, n)
     dual_equal = built == structural
 
-    lap = laplacian(built)
+    result = analyze(built)
+    spectrum = result.spectrum
     notes: list[str] = []
-    try:
-        spectrum = integral_spectrum(lap)
-    except NotIntegral as exc:
+    if not result.integral:
         # cannot happen for these families; recorded, never reconciled
-        spectrum = SpectrumMultiset.from_pairs(exc.partial)
-        notes.append(f"spectrum not integral; residual factor {exc.residual}")
-    trees_eigen = spanning_tree_count(built, method="eigenvalues")
+        notes.append(f"spectrum not integral; residual factor {result.residual}")
     trees_det = spanning_tree_count(built, method="determinant")
     predicted = predicted_spectrum(kind, family, n)
     pred_trees = predicted_tree_count(kind, family, n)
@@ -262,7 +259,7 @@ def _verify_case(kind: str, family: str, n: int) -> CaseResult:
         dual_path_equal=dual_equal,
         computed_spectrum=spectrum,
         computed_trees=trees_det,
-        tree_methods_agree=trees_eigen == trees_det,
+        tree_methods_agree=result.trees == trees_det,
         predicted_trees=pred_trees,
         tree_match=trees_det == pred_trees,
         variants=tuple(variants),

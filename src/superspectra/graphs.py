@@ -19,7 +19,6 @@ from .errors import DimensionMismatch
 from .groups import (
     GroupTable,
     Partition,
-    _cyclic_membership,
     _maximal_cyclic_rows,
     conjugacy_classes,
     equality_partition,
@@ -101,7 +100,7 @@ def graph_from_edges(n: int, edges, group: GroupTable | None = None) -> SimpleGr
 
 def power_graph(table: GroupTable) -> SimpleGraph:
     """x ~ y when one is a positive power of the other."""
-    member = _cyclic_membership(table)  # member[x, y]: y in {x, x^2, ...}
+    member = table._membership  # member[x, y]: y in {x, x^2, ...}
     adj = member | member.T
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=table)

@@ -20,6 +20,7 @@ cyclic group) and the reflections ``b, a*b, .. a^{k-1}*b`` follow at indices
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +99,12 @@ class GroupTable:
         """g * x * g^-1."""
         return int(self.product[self.product[g, x], self.inverse[g]])
 
-    def label_of(self, g: int) -> str:
-        return self.labels[g]
+    @cached_property
+    def _membership(self) -> np.ndarray:
+        """The read-only cyclic-membership table, built on first use."""
+        member = _cyclic_membership(self)
+        member.setflags(write=False)
+        return member
 
 
 def _table_bytes(order: int) -> int:
@@ -136,33 +141,35 @@ def build_group(family: str, n: int) -> GroupTable:
             f"over the {_TABLE_BUDGET_BYTES}-byte budget"
         )
 
+    # the blocks are written in place: a k x k temporary per block would
+    # take the build's peak above the admission estimate
     i = np.arange(k, dtype=np.int64)
-    rot_rot = (i[:, None] + i[None, :]) % k
+    product = np.empty((order, order), dtype=np.int64)
+    rot_rot = product[:k, :k]
+    np.add(i[:, None], i, out=rot_rot)
+    np.remainder(rot_rot, k, out=rot_rot)
 
     if family == CYCLIC:
-        product = rot_rot
         labels = tuple(_rotation_label(int(x)) for x in range(k))
     else:
-        if family == DIHEDRAL:
-            refl_rot = (i[:, None] - i[None, :]) % k
-            refl_refl = refl_rot
-        elif family == QUATERNION:
-            refl_rot = (i[:, None] - i[None, :]) % k
-            refl_refl = (i[:, None] - i[None, :] + n) % k
-        else:
+        rot_refl, refl_rot, refl_refl = product[:k, k:], product[k:, :k], product[k:, k:]
+        np.add(rot_rot, k, out=rot_refl)
+        if family == SEMIDIHEDRAL:
             # b * a^j = a^{j(2n-1)} * b, and b^2 = e
-            refl_rot = (i[:, None] + (2 * n - 1) * i[None, :]) % k
-            refl_refl = refl_rot
-        product = np.empty((2 * k, 2 * k), dtype=np.int64)
-        product[:k, :k] = rot_rot
-        product[:k, k:] = rot_rot + k
-        product[k:, :k] = refl_rot + k
-        product[k:, k:] = refl_refl
+            np.add(i[:, None], (2 * n - 1) * i, out=refl_refl)
+        else:
+            np.subtract(i[:, None], i, out=refl_refl)
+        np.remainder(refl_refl, k, out=refl_refl)
+        np.add(refl_refl, k, out=refl_rot)
+        if family == QUATERNION:
+            np.add(refl_refl, n, out=refl_refl)
+            np.remainder(refl_refl, k, out=refl_refl)
         labels = tuple(_rotation_label(int(x)) for x in range(k)) + tuple(
             _reflection_label(int(x)) for x in range(k)
         )
 
-    inverse = np.argmax(product == 0, axis=1).astype(np.int64)
+    # each row is a permutation, so its least entry is the identity, 0
+    inverse = np.argmin(product, axis=1).astype(np.int64)
     return GroupTable(family=family, parameter=n, product=product, inverse=inverse, labels=labels)
 
 
@@ -302,7 +309,8 @@ def _cyclic_membership(table: GroupTable) -> np.ndarray:
     Every generator advances at once, ``cur = product[cur, gens]``, and
     drops out once its power reaching the identity is recorded, so the loop
     runs as many times as the largest element order, on shrinking index
-    arrays.  Row sums are the element orders.
+    arrays.  Row sums are the element orders.  The queries read it through
+    ``GroupTable._membership``, which builds it once per table.
     """
     p = table.product
     n = table.order
@@ -336,7 +344,7 @@ def _maximal_cyclic_rows(table: GroupTable) -> np.ndarray:
     contains <g>.  Orders are visited from the largest down, with ``covered``
     marking the elements of every <h> of larger order seen so far.
     """
-    member = _cyclic_membership(table)
+    member = table._membership
     orders = member.sum(axis=1)
     covered = np.zeros(table.order, dtype=bool)
     maximal = np.zeros(table.order, dtype=bool)
@@ -355,14 +363,14 @@ def _subgroup_sets(rows: np.ndarray) -> frozenset[frozenset[int]]:
 def order_partition(table: GroupTable) -> Partition:
     """Coarsest partition grouping elements of equal order; blocks in
     increasing element order, members ascending within a block."""
-    orders = _cyclic_membership(table).sum(axis=1)
+    orders = table._membership.sum(axis=1)
     _, block_of = np.unique(orders, return_inverse=True)
     return _partition_from_labels(block_of)
 
 
 def cyclic_subgroups(table: GroupTable) -> frozenset[frozenset[int]]:
     """All subgroups <g>."""
-    member = _cyclic_membership(table)
+    member = table._membership
     return _subgroup_sets(member[_distinct_rows(member)])
 
 

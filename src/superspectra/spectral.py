@@ -1,5 +1,8 @@
 """Exact integer Laplacian analytics: characteristic polynomials, integral
-spectra, rank/nullity and spanning-tree counts, all in exact arithmetic.
+spectra and spanning-tree counts, all in exact arithmetic.
+
+``analyze`` reads the spectrum and the tree count of a graph from one
+characteristic polynomial, that of the twin quotient of its Laplacian.
 
 The characteristic polynomial is computed modulo a batch of primes
 (similarity reduction to Hessenberg form over F_p, then the leading-minor
@@ -32,9 +35,9 @@ plus s - 1 copies of deg + 1 (closed) or deg (open) for each twin class of
 size s.  The lifts of this package are compositions of cliques, so k stays
 small however large the group.  Every other matrix, and a Laplacian with
 no twins, is its own quotient.  The reduction is certified by its trace:
-tr Q + sum (s - 1) * eigenvalue must equal tr M exactly.  ``char_poly``,
-the Kirchhoff cofactor and the ``nullity`` strategy always work on the full
-matrix, as the independent paths the quotient is checked against.
+tr Q + sum (s - 1) * eigenvalue must equal tr M exactly.  ``char_poly``
+and the Kirchhoff cofactor always work on the full matrix, as the
+independent paths the quotient is checked against.
 
 No rounded floating point enters any certified result: the Kirchhoff LU
 uses float64 only as integer arithmetic inside the asserted bound.  Float
@@ -95,17 +98,6 @@ class IntegerPolynomial:
             acc = acc * x + c
         return acc
 
-    def __mul__(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntegerPolynomial((0,))
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return IntegerPolynomial(tuple(out))
-
     def synthetic_division(self, root: int) -> tuple["IntegerPolynomial", int]:
         """Quotient and remainder of division by (x - root)."""
         coeffs = self.coefficients
@@ -116,16 +108,6 @@ class IntegerPolynomial:
             quotient[i - 1] = acc
         remainder = acc * root + coeffs[0]
         return IntegerPolynomial(tuple(quotient)), remainder
-
-    @classmethod
-    def from_integer_roots(cls, pairs) -> "IntegerPolynomial":
-        """Monic product of (x - value)^multiplicity."""
-        poly = cls((1,))
-        for value, multiplicity in pairs:
-            factor = cls((-int(value), 1))
-            for _ in range(multiplicity):
-                poly = poly * factor
-        return poly
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -183,9 +165,6 @@ class SpectrumMultiset:
 
     def multiplicity(self, value: int) -> int:
         return dict(self.pairs).get(int(value), 0)
-
-    def to_char_poly(self) -> IntegerPolynomial:
-        return IntegerPolynomial.from_integer_roots(self.pairs)
 
     def compact(self) -> str:
         return " ".join(f"{v}^{m}" for v, m in self.pairs)
@@ -379,34 +358,7 @@ def char_poly(matrix) -> IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact rank / determinant
-
-
-def nullity(matrix) -> int:
-    """Dimension of the rational kernel, by fraction-free (Bareiss)
-    elimination over exact integers."""
-    m = _as_square_int_matrix(matrix)
-    rows = [[int(x) for x in row] for row in m]
-    n = len(rows)
-    rank = 0
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        pivot = pivot_row[col]
-        for i in range(rank + 1, n):
-            row = rows[i]
-            lead = row[col]
-            for j in range(col + 1, n):
-                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-    return n - rank
+# exact determinant
 
 
 def _det_dot_length(n: int) -> int:
@@ -627,52 +579,73 @@ def _reduced_char_poly(m: np.ndarray) -> tuple[IntegerPolynomial, list[tuple[int
 
 
 # ---------------------------------------------------------------------------
-# integral spectra
+# integral spectra and spanning trees
 
 
-def integral_spectrum(matrix, strategy: str = "deflation") -> SpectrumMultiset:
+def _split_spectrum(
+    poly: IntegerPolynomial, twins: list[tuple[int, int]], n: int
+) -> tuple[SpectrumMultiset, IntegerPolynomial]:
+    """The roots in 0..n of the quotient char poly, merged with the twin
+    eigenvalues, and the factor those roots leave."""
+    pairs, residual = factor_integer_roots(poly, n)
+    return SpectrumMultiset.from_pairs(pairs + tuple(twins)), residual
+
+
+def _eigenvalue_tree_count(poly: IntegerPolynomial, twins: list[tuple[int, int]], n: int) -> int:
+    """Product of the nonzero Laplacian eigenvalues over n: the degree-one
+    coefficient of the quotient char poly, times the twin eigenvalues."""
+    c1 = poly.coefficients[1] if poly.degree >= 1 else 0
+    signed = c1 if (poly.degree - 1) % 2 == 0 else -c1
+    trees, rem = divmod(math.prod(value**mult for value, mult in twins) * signed, n)
+    if rem != 0 or trees < 0:
+        raise AssertionError("eigenvalue product is not a valid tree count")
+    return trees
+
+
+def integral_spectrum(matrix) -> SpectrumMultiset:
     """Full eigenvalue multiset of an integral-spectrum symmetric matrix.
 
     Laplacian eigenvalues lie in [0, N], so the integer candidates 0..N are
-    complete.  ``deflation`` splits them off the characteristic polynomial of
-    the twin quotient and merges in the twin eigenvalues; ``nullity`` instead
-    reads each multiplicity from the rational kernel of M - tI on the full
-    matrix (valid for symmetric matrices, where geometric equals algebraic
-    multiplicity).  Raises :class:`NotIntegral` when the candidates do not
-    exhaust the spectrum; its residual is the same factor either way.
+    complete.  They are split off the characteristic polynomial of the twin
+    quotient, and the twin eigenvalues are merged in.  Raises
+    :class:`NotIntegral` when the candidates do not exhaust the spectrum.
     """
     m = _as_square_int_matrix(matrix)
-    n = m.shape[0]
-    if strategy == "deflation":
-        poly, twins = _reduced_char_poly(m)
-        pairs, residual = factor_integer_roots(poly, n)
-        spectrum = SpectrumMultiset.from_pairs(pairs + tuple(twins))
-        if residual.degree > 0:
-            raise NotIntegral(residual=residual, partial=spectrum.pairs)
-        return spectrum
-    if strategy == "nullity":
-        pairs = []
-        total = 0
-        eye = np.eye(n, dtype=np.int64)
-        for t in range(n, -1, -1):
-            mult = nullity(m - t * eye)
-            if mult:
-                pairs.append((t, mult))
-                total += mult
-        if total != n:
-            residual = char_poly(m)
-            for value, multiplicity in pairs:
-                for _ in range(multiplicity):
-                    residual, rem = residual.synthetic_division(value)
-                    if rem != 0:
-                        raise AssertionError("kernel multiplicity exceeds root multiplicity")
-            raise NotIntegral(residual=residual, partial=pairs)
-        return SpectrumMultiset(tuple(pairs))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    poly, twins = _reduced_char_poly(m)
+    spectrum, residual = _split_spectrum(poly, twins, m.shape[0])
+    if residual.degree > 0:
+        raise NotIntegral(residual=residual, partial=spectrum.pairs)
+    return spectrum
 
 
-# ---------------------------------------------------------------------------
-# spanning trees
+@dataclass(frozen=True)
+class LaplacianAnalysis:
+    """Spectrum and tree count of one graph, read from one char poly.
+
+    ``spectrum`` holds the integer eigenvalues found, twin eigenvalues
+    included; ``residual`` is the factor of the char poly they leave, the
+    constant 1 exactly when the graph is Laplacian-integral; ``trees`` is
+    the product of the nonzero eigenvalues over the vertex count.
+    """
+
+    spectrum: SpectrumMultiset
+    residual: IntegerPolynomial
+    trees: int
+
+    @property
+    def integral(self) -> bool:
+        return self.residual.degree == 0
+
+
+def analyze(graph: SimpleGraph) -> LaplacianAnalysis:
+    """Spectrum, residual and eigenvalue tree count of a graph's Laplacian,
+    from one characteristic polynomial of its twin quotient.  Never raises
+    :class:`NotIntegral`; the Kirchhoff cofactor is left to the caller."""
+    lap = laplacian(graph)
+    n = graph.vertex_count
+    poly, twins = _reduced_char_poly(lap)
+    spectrum, residual = _split_spectrum(poly, twins, n)
+    return LaplacianAnalysis(spectrum, residual, _eigenvalue_tree_count(poly, twins, n))
 
 
 def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
@@ -691,12 +664,7 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     n = graph.vertex_count
     by_eigen = by_det = None
     if method in ("eigenvalues", "both"):
-        poly, twins = _reduced_char_poly(lap)
-        c1 = poly.coefficients[1] if poly.degree >= 1 else 0
-        signed = c1 if (poly.degree - 1) % 2 == 0 else -c1
-        by_eigen, rem = divmod(math.prod(value**mult for value, mult in twins) * signed, n)
-        if rem != 0 or by_eigen < 0:
-            raise AssertionError("eigenvalue product is not a valid tree count")
+        by_eigen = _eigenvalue_tree_count(*_reduced_char_poly(lap), n)
     if method in ("determinant", "both"):
         minor = np.delete(np.delete(lap, 0, axis=0), 0, axis=1)
         by_det = integer_determinant(minor)

@@ -1,6 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from superspectra import spectral
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 # every group of order at most 160 in each family, for the oracle sweeps
@@ -23,6 +27,23 @@ CRITERIA = {
     9: "hierarchy containments for all family groups up to order 100",
     10: "N=400 exact spectrum inside the performance envelope",
 }
+
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Counts of the char polys and Kirchhoff determinants computed."""
+    calls = {"char_poly": 0, "integer_determinant": 0}
+    for name in calls:
+        real = getattr(spectral, name)
+
+        def spy(matrix, real=real, name=name):
+            calls[name] += 1
+            return real(matrix)
+
+        monkeypatch.setattr(spectral, name, spy)
+    return calls
+
 
 _RESULTS: dict[int, str] = {}
 _SEEN: set[int] = set()

@@ -3,10 +3,11 @@
 Everything here is deliberately naive and kept separate from the library's
 algorithms: cofactor expansion for characteristic polynomials, subset
 enumeration for spanning trees, the literal existential definition for
-super-graph lifts, Fraction-based Gaussian elimination for rank,
-per-prime int64 and fraction-free (Bareiss) elimination for determinants,
-and the per-element group queries and pair-loop composition that the
-library's whole-table versions replaced.
+super-graph lifts, Fraction-based and fraction-free (Bareiss) elimination
+for rank, the spectrum read off kernel dimensions, schoolbook products of
+integer polynomials, per-prime int64 and Bareiss elimination for
+determinants, and the per-element group queries and pair-loop composition
+that the library's whole-table versions replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,17 @@ from math import comb
 
 import numpy as np
 
-from superspectra import ArityMismatch, CompositionSpec, Partition, SimpleGraph, element_order
+from superspectra import (
+    ArityMismatch,
+    CompositionSpec,
+    IntegerPolynomial,
+    NotIntegral,
+    Partition,
+    SimpleGraph,
+    SpectrumMultiset,
+    char_poly,
+    element_order,
+)
 
 
 def naive_char_poly(matrix) -> tuple[int, ...]:
@@ -332,6 +343,79 @@ def rational_nullity(matrix) -> int:
                 m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return n - rank
+
+
+def bareiss_nullity(matrix) -> int:
+    """Dimension of the rational kernel, by fraction-free (Bareiss)
+    elimination over exact integers."""
+    rows = [[int(x) for x in row] for row in np.asarray(matrix, dtype=object)]
+    n = len(rows)
+    rank = 0
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        pivot = pivot_row[col]
+        for i in range(rank + 1, n):
+            row = rows[i]
+            lead = row[col]
+            for j in range(col + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+            row[col] = 0
+        prev = pivot
+        rank += 1
+    return n - rank
+
+
+def spectrum_by_nullity(matrix) -> SpectrumMultiset:
+    """Eigenvalue multiset of an integral-spectrum symmetric matrix with
+    eigenvalues in 0..N, each multiplicity read from the rational kernel of
+    M - tI on the full matrix (geometric equals algebraic multiplicity for
+    symmetric matrices).  Raises :class:`NotIntegral` with the factor of the
+    char poly the kernels leave when they do not exhaust the spectrum."""
+    m = np.asarray(matrix, dtype=np.int64)
+    n = m.shape[0]
+    pairs = []
+    total = 0
+    eye = np.eye(n, dtype=np.int64)
+    for t in range(n, -1, -1):
+        mult = bareiss_nullity(m - t * eye)
+        if mult:
+            pairs.append((t, mult))
+            total += mult
+    if total != n:
+        residual = char_poly(m)
+        for value, multiplicity in pairs:
+            for _ in range(multiplicity):
+                residual, rem = residual.synthetic_division(value)
+                if rem != 0:
+                    raise AssertionError("kernel multiplicity exceeds root multiplicity")
+        raise NotIntegral(residual=residual, partial=pairs)
+    return SpectrumMultiset(tuple(pairs))
+
+
+def poly_mul(a: IntegerPolynomial, b: IntegerPolynomial) -> IntegerPolynomial:
+    """Schoolbook product of two integer polynomials."""
+    if a.is_zero or b.is_zero:
+        return IntegerPolynomial((0,))
+    out = [0] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            out[i + j] += x * y
+    return IntegerPolynomial(tuple(out))
+
+
+def poly_from_roots(pairs) -> IntegerPolynomial:
+    """Monic product of (x - value)^multiplicity."""
+    poly = IntegerPolynomial((1,))
+    for value, multiplicity in pairs:
+        for _ in range(multiplicity):
+            poly = poly_mul(poly, IntegerPolynomial((-int(value), 1)))
+    return poly
 
 
 def component_count(adjacency) -> int:

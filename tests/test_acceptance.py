@@ -44,6 +44,7 @@ from oracles import (
     random_simple_graph,
     spanning_trees_by_complement,
     spanning_trees_enumerated,
+    spectrum_by_nullity,
 )
 
 D_RANGE = list(range(3, 26))
@@ -263,11 +264,11 @@ def test_criterion_8_oracle_equivalence():
             assert len(complement_edges(graph.adjacency)) <= 16
             assert both == spanning_trees_by_complement(graph.adjacency)
         try:
-            by_deflation = integral_spectrum(lap, "deflation").pairs
+            by_deflation = integral_spectrum(lap).pairs
         except NotIntegral as exc:
             by_deflation = ("residual", exc.residual.coefficients, tuple(exc.partial))
         try:
-            by_nullity = integral_spectrum(lap, "nullity").pairs
+            by_nullity = spectrum_by_nullity(lap).pairs
         except NotIntegral as exc:
             by_nullity = ("residual", exc.residual.coefficients, tuple(exc.partial))
         assert by_deflation == by_nullity

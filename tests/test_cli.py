@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -211,12 +212,40 @@ HUGE_DIGITS = "1" + "0" * 4999 + "1"
 
 def test_spectrum_renders_tree_counts_past_the_int_str_limit(capsys, monkeypatch):
     # str() refuses integers above 4300 digits; the payload must not
-    monkeypatch.setattr(cli, "spanning_tree_count", lambda graph: 10**5000 + 1)
+    real = cli.analyze
+    monkeypatch.setattr(cli, "analyze", lambda graph: dataclasses.replace(real(graph), trees=10**5000 + 1))
+    monkeypatch.setattr(cli, "spanning_tree_count", lambda graph, method: 10**5000 + 1)
     selector = ("spectrum", "--kind", "csep", "--family", "d2n", "--n", "5")
     code, out, _ = run(capsys, *selector, "--format", "json")
     assert code == 0 and json.loads(out)["trees"] == HUGE_DIGITS
     code, out, _ = run(capsys, *selector)
     assert code == 0 and f"spanning trees: {HUGE_DIGITS}\n" in out
+    # and so must the message when the two counts disagree
+    monkeypatch.setattr(cli, "spanning_tree_count", lambda graph, method: 10**5000)
+    code, out, _ = run(capsys, *selector, "--format", "json")
+    assert code == 3 and json.loads(out)["message"].endswith(f"{HUGE_DIGITS} vs 1{'0' * 5000}")
+
+
+class TestOneCharPolyPerGraph:
+    """The spectrum and the eigenvalue tree count come from one char poly;
+    the Kirchhoff cofactor runs once per graph that needs it."""
+
+    def test_spectrum_integral(self, capsys, spectral_calls):
+        code, _, _ = run(capsys, "spectrum", "--kind", "csep", "--family", "d2n", "--n", "5", "--format", "json")
+        assert code == 0
+        assert spectral_calls == {"char_poly": 1, "integer_determinant": 1}
+
+    def test_spectrum_not_integral_runs_no_cofactor(self, capsys, spectral_calls):
+        code, out, _ = run(capsys, "spectrum", "--family", "q4n", "--n", "3", "--base", "power",
+                           "--relation", "equality", "--format", "json")
+        assert code == 1 and json.loads(out)["error"] == "not_integral"
+        assert spectral_calls == {"char_poly": 1, "integer_determinant": 0}
+
+    def test_verify(self, capsys, spectral_calls):
+        code, _, _ = run(capsys, "verify", "--kind", "csep", "--family", "q4n", "--range", "2..4",
+                         "--threads", "1", "--format", "json")
+        assert code == 0
+        assert spectral_calls == {"char_poly": 3, "integer_determinant": 3}
 
 
 class TestInternalCheckFailure:
@@ -235,6 +264,16 @@ class TestInternalCheckFailure:
         code, out, err = run(capsys, *selector)
         assert code == 3 and out == ""
         assert err.startswith("internal check failed: tree-count paths disagree")
+
+    def test_verify_records_tree_count_disagreement(self, capsys, monkeypatch):
+        # verify reports a disagreement as a failed case, not as exit 3
+        exact = spectral.integer_determinant
+        monkeypatch.setattr(spectral, "integer_determinant", lambda m: exact(m) + 1)
+        code, out, _ = run(capsys, "verify", "--kind", "csep", "--family", "d2n", "--range", "3",
+                           "--threads", "1", "--format", "json")
+        assert code == 1
+        (case,) = json.loads(out)["cases"]
+        assert case["tree_methods_agree"] is False and case["passed"] is False
 
     def test_verify_trace_identity_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(spectral, "_twin_quotient", lambda m: (m, [(1, 1)]))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -198,11 +199,14 @@ HUGE_DIGITS = "1" + "0" * 4999 + "1"
 def test_report_renders_tree_counts_past_the_int_str_limit(monkeypatch):
     # str() refuses integers above 4300 digits; the report must not
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    real = formulas.analyze
+    monkeypatch.setattr(formulas, "analyze", lambda graph: dataclasses.replace(real(graph), trees=HUGE))
     monkeypatch.setattr(formulas, "spanning_tree_count", lambda graph, method: HUGE)
     monkeypatch.setattr(formulas, "predicted_tree_count", lambda kind, family, n: HUGE)
     report = verify(CSEP, DIHEDRAL, [3])
     case = report.to_jsonable()["cases"][0]
     assert case["computed_trees"] == case["predicted_trees"] == HUGE_DIGITS
+    assert case["tree_methods_agree"] and case["passed"]
     assert report.to_csv().strip().split("\n")[1].split(",")[6] == HUGE_DIGITS
     assert formulas.decimal_string(-HUGE) == "-" + HUGE_DIGITS
     if limit is not None:

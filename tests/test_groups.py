@@ -23,7 +23,7 @@ from superspectra import (
     order_partition,
     verify_group_axioms,
 )
-from superspectra import groups
+from superspectra import enhanced_power_graph, groups, power_graph
 from superspectra.groups import _TABLE_BUDGET_BYTES, _table_bytes
 
 from conftest import ORACLE_SWEEP
@@ -320,6 +320,20 @@ class TestMemoryAdmission:
             with pytest.raises(ParameterOutOfRange, match="budget"):
                 build_group(family, n + 1)
 
+    @pytest.mark.parametrize("order", [1000, 2000])
+    def test_build_peak_is_within_the_estimate(self, order):
+        # order 1000 and 2000: dihedral n = order/2, quaternion order/4,
+        # semidihedral order/8, cyclic order
+        for family, divisor in ((DIHEDRAL, 2), (QUATERNION, 4), (SEMIDIHEDRAL, 8), (CYCLIC, 1)):
+            tracemalloc.start()
+            try:
+                table = build_group(family, order // divisor)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert table.order == order
+            assert peak <= _table_bytes(order), (family, peak)
+
     def test_refusal_allocates_nothing(self):
         tracemalloc.start()
         try:
@@ -329,6 +343,28 @@ class TestMemoryAdmission:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_one_membership_table_per_group(monkeypatch):
+    calls = []
+    real = groups._cyclic_membership
+
+    def spy(table):
+        calls.append(table)
+        return real(table)
+
+    monkeypatch.setattr(groups, "_cyclic_membership", spy)
+    table = build_group(SEMIDIHEDRAL, 4)
+    blocks = order_partition(table).blocks
+    subgroups = cyclic_subgroups(table)
+    maximal = maximal_cyclic_subgroups(table)
+    power_graph(table)
+    enhanced_power_graph(table)
+    assert calls == [table]
+    assert not table._membership.flags.writeable
+    assert blocks == order_partition_by_element_order(table).blocks
+    assert subgroups == cyclic_subgroups_by_powers(table)
+    assert maximal == frozenset(s for s in subgroups if not any(s < t for t in subgroups))
 
 
 class TestPartitionType:

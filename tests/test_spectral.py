@@ -14,6 +14,7 @@ from superspectra import (
     SEMIDIHEDRAL,
     SimpleGraph,
     SpectrumMultiset,
+    analyze,
     build_group,
     char_poly,
     complete,
@@ -23,7 +24,6 @@ from superspectra import (
     integral_spectrum,
     laplacian,
     named_super_graph,
-    nullity,
     spanning_tree_count,
 )
 from superspectra import spectral
@@ -38,11 +38,15 @@ from superspectra.spectral import (
 
 from oracles import (
     bareiss_determinant,
+    bareiss_nullity,
     component_count,
     det_mod,
     naive_char_poly,
+    poly_from_roots,
+    poly_mul,
     random_simple_graph,
     rational_nullity,
+    spectrum_by_nullity,
     spanning_trees_by_complement,
     spanning_trees_enumerated,
     spanning_trees_enumerated_loop,
@@ -68,9 +72,9 @@ class TestIntegerPolynomial:
         assert str(IntegerPolynomial((0,))) == "0"
 
     def test_synthetic_division(self):
-        p = IntegerPolynomial.from_integer_roots([(3, 2), (0, 1)])
+        p = poly_from_roots([(3, 2), (0, 1)])
         q, r = p.synthetic_division(3)
-        assert r == 0 and q == IntegerPolynomial((0, -3, 1)) * IntegerPolynomial((1,))
+        assert r == 0 and q == poly_mul(IntegerPolynomial((0, -3, 1)), IntegerPolynomial((1,)))
         q2, r2 = p.synthetic_division(5)
         assert r2 == p(5) != 0
 
@@ -182,7 +186,7 @@ class TestCharPoly:
 
     def test_csep_d6_factored(self):
         poly = char_poly(laplacian(csep(DIHEDRAL, 3)))
-        expected = IntegerPolynomial.from_integer_roots([(6, 1), (4, 2), (3, 1), (1, 1), (0, 1)])
+        expected = poly_from_roots([(6, 1), (4, 2), (3, 1), (1, 1), (0, 1)])
         assert poly == expected
 
     def test_zero_matrix(self):
@@ -254,12 +258,12 @@ class TestIntegralSpectrum:
     def test_nullity_strategy_agrees(self):
         for family, n in [(DIHEDRAL, 3), (DIHEDRAL, 4), (QUATERNION, 2), (CYCLIC, 5)]:
             lap = laplacian(csep(family, n))
-            assert integral_spectrum(lap, "deflation") == integral_spectrum(lap, "nullity")
+            assert integral_spectrum(lap) == spectrum_by_nullity(lap)
 
     def test_nullity_strategy_not_integral(self):
         lap = laplacian(path_graph(4))
         with pytest.raises(NotIntegral) as exc:
-            integral_spectrum(lap, "nullity")
+            spectrum_by_nullity(lap)
         assert exc.value.residual == IntegerPolynomial((2, -4, 1))
 
     def test_multiset_invariants_and_reconstruction(self):
@@ -271,7 +275,7 @@ class TestIntegralSpectrum:
             assert spectrum.weighted_sum == 2 * g.edge_count
             assert spectrum.multiplicity(0) == component_count(g.adjacency)
             assert max(v for v, _ in spectrum.pairs) <= g.vertex_count
-            assert spectrum.to_char_poly() == char_poly(lap)
+            assert poly_from_roots(spectrum.pairs) == char_poly(lap)
 
     def test_disconnected_zero_multiplicity(self):
         g = graph_from_edges(5, [(0, 1), (2, 3)])
@@ -283,18 +287,38 @@ class TestIntegralSpectrum:
         assert s.pairs == ((4, 3), (2, 2))
 
 
+class TestAnalyze:
+    def test_integral_lift(self):
+        result = analyze(csep(DIHEDRAL, 5))
+        assert result.integral and result.residual == IntegerPolynomial((1,))
+        assert result.spectrum.pairs == ((10, 1), (6, 4), (5, 3), (1, 1), (0, 1))
+        assert result.trees == 5**3 * 6**4
+
+    def test_not_integral_keeps_the_roots_found_and_the_tree_count(self):
+        result = analyze(path_graph(4))
+        assert not result.integral
+        assert result.residual == IntegerPolynomial((2, -4, 1))
+        assert result.spectrum.pairs == ((2, 1), (0, 1))
+        assert result.trees == 1
+
+    def test_one_char_poly_and_no_cofactor(self, spectral_calls):
+        analyze(csep(QUATERNION, 3))
+        analyze(path_graph(4))
+        assert spectral_calls == {"char_poly": 2, "integer_determinant": 0}
+
+
 class TestNullity:
     def test_k3_shifted(self):
         lap = laplacian(complete(3))
-        assert nullity(lap - 3 * np.eye(3, dtype=np.int64)) == 2
+        assert bareiss_nullity(lap - 3 * np.eye(3, dtype=np.int64)) == 2
 
     def test_connected_laplacian_kernel(self):
         for g in (complete(5), path_graph(6), csep(DIHEDRAL, 4)):
-            assert nullity(laplacian(g)) == 1
+            assert bareiss_nullity(laplacian(g)) == 1
 
     def test_csep_d6_at_four(self):
         lap = laplacian(csep(DIHEDRAL, 3))
-        assert nullity(lap - 4 * np.eye(6, dtype=np.int64)) == 2
+        assert bareiss_nullity(lap - 4 * np.eye(6, dtype=np.int64)) == 2
 
     def test_against_fraction_elimination(self):
         rng = np.random.default_rng(11)
@@ -303,7 +327,7 @@ class TestNullity:
             m = rng.integers(-4, 5, size=(n, n))
             if rng.random() < 0.5 and n >= 2:  # force singularity often
                 m[n - 1] = m[0] + m[min(1, n - 1)]
-            assert nullity(m) == rational_nullity(m)
+            assert bareiss_nullity(m) == rational_nullity(m)
 
 
 class TestSpanningTrees:
@@ -379,7 +403,7 @@ class TestIntegerDeterminant:
 
 class TestFactorIntegerRoots:
     def test_partial_factorisation(self):
-        poly = IntegerPolynomial.from_integer_roots([(3, 2), (1, 1)]) * IntegerPolynomial((2, -4, 1))
+        poly = poly_mul(poly_from_roots([(3, 2), (1, 1)]), IntegerPolynomial((2, -4, 1)))
         pairs, residual = factor_integer_roots(poly, 10)
         assert pairs == ((3, 2), (1, 1))
         assert residual == IntegerPolynomial((2, -4, 1))
@@ -561,6 +585,12 @@ def deflation_path(lap):
         return ("residual", exc.residual.coefficients, exc.partial)
 
 
+def analysis_path(graph):
+    result = analyze(graph)
+    pairs = result.spectrum.pairs
+    return pairs if result.integral else ("residual", result.residual.coefficients, pairs)
+
+
 class TestTwinQuotient:
     @pytest.mark.parametrize(
         "family,n,base", [(DIHEDRAL, 25, "enhanced"), (QUATERNION, 16, "enhanced"),
@@ -590,11 +620,13 @@ class TestTwinQuotient:
          (QUATERNION, 6, "power", "conjugacy")],
     )
     def test_not_integral_residual_matches_full_path(self, family, n, base, relation):
-        lap = laplacian(named_super_graph(build_group(family, n), base, relation))
+        graph = named_super_graph(build_group(family, n), base, relation)
+        lap = laplacian(graph)
         assert _twin_quotient(lap)[0].shape[0] < lap.shape[0]
         with pytest.raises(NotIntegral):
             integral_spectrum(lap)
         assert deflation_path(lap) == full_path(lap)
+        assert analysis_path(graph) == full_path(lap)
 
 
 @st.composite
@@ -629,3 +661,5 @@ def test_twin_quotient_matches_full_paths(graph):
     assert by_eigen == spanning_tree_count(graph, method="determinant") == by_full_poly
     if component_count(graph.adjacency) > 1:
         assert by_eigen == 0
+    assert analysis_path(graph) == full_path(lap)
+    assert analyze(graph).trees == by_eigen
