@@ -10,7 +10,7 @@ import sys
 
 from .compose import KINDS
 from .errors import ParameterOutOfRange, UnsupportedCombination
-from .formulas import BASE_FOR_KIND, decimal_string, verify
+from .formulas import BASE_FOR_KIND, verify
 from .graphs import BASES, RELATIONS, SimpleGraph, named_super_graph
 from .groups import (
     CYCLIC,
@@ -22,7 +22,7 @@ from .groups import (
     conjugacy_classes,
     maximal_cyclic_subgroups,
 )
-from .spectral import analyze, spanning_tree_count
+from .spectral import analyze, decimal_string, spanning_tree_count
 
 FAMILY_TOKENS = {"d2n": DIHEDRAL, "q4n": QUATERNION, "sd8n": SEMIDIHEDRAL, "cyclic": CYCLIC}
 

@@ -22,7 +22,7 @@ from .compose import CSCOM, CSEP, KINDS, structural_graph
 from .errors import ParameterOutOfRange, UnsupportedCombination
 from .graphs import named_super_graph
 from .groups import DIHEDRAL, QUATERNION, SEMIDIHEDRAL, _MIN_N, build_group
-from .spectral import SpectrumMultiset, analyze, spanning_tree_count
+from .spectral import SpectrumMultiset, analyze, decimal_string, spanning_tree_count
 
 BASE_FOR_KIND = {CSEP: "enhanced", CSCOM: "commuting"}
 
@@ -92,19 +92,6 @@ def _case_key(kind: str, family: str, n: int) -> tuple[str, str, str]:
     if n < _MIN_N[family]:
         raise ParameterOutOfRange(f"{family} needs n >= {_MIN_N[family]}, got {n}")
     return key
-
-
-def decimal_string(value: int) -> str:
-    """Exact decimal digits of an integer of any size.
-
-    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
-    (4300 digits by default), which tree counts pass at a few thousand
-    vertices.  ``decimal.Decimal`` converts from the binary representation
-    exactly at any size, so the interpreter-wide limit is left as it is.
-    """
-    import decimal  # here, not at the top: it adds about 5 ms to every package import
-
-    return str(decimal.Decimal(value))
 
 
 @dataclass(frozen=True)

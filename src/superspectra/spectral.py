@@ -14,17 +14,18 @@ narrower above it, chosen so that every modular dot product of length N
 stays inside int64, which lets numpy carry the O(N^3) inner loops.
 
 The Kirchhoff cofactor (``integer_determinant``) is computed the same way,
-by CRT against the Hadamard row-norm bound, but its residues come from one
-LU per batch of primes: a (P, n, n) float64 stack of about 1 MB, factored
-by recursive column halving with a recursive unit-lower TRSM, so that the
-trailing updates are batched float64 matmuls on BLAS, reduced mod p once
-per product rather than once per column.  float64 holds every integer
-below 2**53 exactly, so the prime width is picked from the longest sum of
-products the recursion forms, k = n // 2 above the leaf width: k * (p - 1)**2
-+ p < 2**53, which gives 23-bit primes up to order 257 and narrower above,
-and the LU asserts that bound for each stack.  The two prime widths come
-from one selector with an int64 budget (63 bits) for the char poly and a
-float64 budget (53 bits) for the cofactor.
+by CRT against the Hadamard row-norm bound, but its residues come from a
+blocked LU over a (P, n, n) float32 stack of residues, one prime per layer,
+allocated once per call and about 1.5 MB with its float64 temporaries.  Per
+panel of 16 columns, Gauss-Jordan on the diagonal block in float64 gives
+its pivots and inverse, and the trailing matrix takes its Schur complement
+in row blocks, each one batched float64 matmul on BLAS and one reduction
+mod p.  The primes are 24-bit at every order, and two bounds are asserted
+at run time: p < 2**24, below which float32 holds every residue exactly,
+and 16 * (p - 1)**2 + p < 2**53, below which float64 holds every sum of up
+to 16 products of residues and its rounding product exactly.  The two
+prime widths come from one selector with an int64 budget (63 bits) for the
+char poly and a float64 budget (53 bits) for the cofactor.
 
 The spectrum and the eigenvalue tree count first reduce a matrix along its
 twin classes.  A matrix counts as a graph Laplacian when it is symmetric,
@@ -40,9 +41,9 @@ and the Kirchhoff cofactor always work on the full matrix, as the
 independent paths the quotient is checked against.
 
 No rounded floating point enters any certified result: the Kirchhoff LU
-uses float64 only as integer arithmetic inside the asserted bound.  Float
-eigensolvers are fine as an external diagnostic but are never consulted
-here.
+uses float32 and float64 only as integer arithmetic inside the asserted
+bounds.  Float eigensolvers are fine as an external diagnostic but are
+never consulted here.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ from .graphs import SimpleGraph
 _PRIME_BITS = 26
 _INT64_BITS = 63  # int64 holds every integer below 2**63
 _FLOAT64_BITS = 53  # float64 holds every integer below 2**53 exactly
-_DET_LEAF = 8  # the Kirchhoff LU and its TRSM go column by column at this width and below
-# float64 residue stack of one batch of primes: 2 MB stacks ran the cofactor
-# faster still, but raised a catalog sweep's peak RSS by about 10%
-_DET_STACK_BYTES = 1 << 20
+_FLOAT32_BITS = 24  # float32 holds every integer below 2**24 exactly
+_DET_PANEL = 16  # Kirchhoff LU panel width, and rows per block of its trailing update
+# float32 residue stack of one batch of primes with its float64 temporaries:
+# 4n**2 + 40 * _DET_PANEL * n bytes per prime, 5 primes at order 200 and 10 at
+# 128.  Larger stacks raise peak RSS (2 MB float64 stacks: +10% on a catalog sweep).
+_DET_STACK_BYTES = 3 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,8 @@ def _prime_width(n: int, budget: int = _INT64_BITS) -> int:
     Budget 63 is int64, for the Hessenberg dot products of length n: 26 bits
     up to n = 2048, 25 bits from 2049.  Budget 53 is the range in which
     float64 holds every integer exactly, for the Kirchhoff LU, whose longest
-    dot product is ``_det_dot_length``: 23 bits up to k = 128, 22 from 129."""
+    dot product is ``_DET_PANEL`` = 16 at every order: 24 bits up to n = 32.
+    Its float32 stack caps its primes at 24 bits as well."""
     width = _PRIME_BITS
     while n * ((1 << width) - 2) ** 2 + (1 << width) - 1 >= 1 << budget:
         width -= 1
@@ -361,130 +365,123 @@ def char_poly(matrix) -> IntegerPolynomial:
 # exact determinant
 
 
-def _det_dot_length(n: int) -> int:
-    """Longest sum of products of two residues that the Kirchhoff LU of an
-    n x n matrix forms between two reductions.  Above ``_DET_LEAF`` it is
-    the Schur update after the first column split, of length n // 2: every
-    later split, TRSM product and leaf is shorter.  Otherwise the whole
-    matrix is one leaf, whose entries gather up to n - 1 rank-one terms."""
-    return n // 2 if n > _DET_LEAF else max(1, n - 1)
+def _check_float64_sums(length: int, top: int) -> None:
+    """Refuse sums of ``length`` residue products, plus a residue, past float64's exact range."""
+    if length * (top - 1) ** 2 + top >= 1 << _FLOAT64_BITS:
+        raise AssertionError("sum of products too long for exact float64 arithmetic")
 
 
-class _StackLU:
-    """In-place LU of a (P, n, n) float64 stack of residues, one prime per
-    layer; see ``_det_mod_stack``.  A class rather than recursive closures,
-    whose reference cycle would keep each stack alive until the next
-    garbage collection."""
-
-    def __init__(self, m: np.ndarray, primes: list[int]):
-        n = m.shape[0]
-        self.k = _det_dot_length(n)
-        top = max(primes)
-        if self.k * (top - 1) ** 2 + top >= 1 << _FLOAT64_BITS:
-            raise AssertionError("prime too wide for exact float64 elimination")
-        self.a = np.empty((len(primes), n, n))
-        for i, q in enumerate(primes):
-            # residues below 2**26 cast to float64 exactly
-            np.remainder(m, q, out=self.a[i], casting="unsafe")
-        self.primes = primes
-        self.p = np.array(primes, dtype=np.float64)[:, None, None]
-        self.p_inv = 1.0 / self.p
-        self.swaps = np.zeros(len(primes), dtype=np.int64)
-
-    def check(self, length: int) -> None:
-        if length > self.k:
-            raise AssertionError("sum of products longer than the float64 bound allows")
-
-    def reduce(self, c: np.ndarray) -> None:
-        q = c * self.p_inv
-        np.rint(q, out=q)
-        q *= self.p
-        c -= q
-
-    def subtract_product(self, c: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-        self.check(left.shape[-1])
-        c -= np.matmul(left, right)
-        self.reduce(c)
-
-    def trsm(self, r0: int, r1: int, c0: int, c1: int) -> None:
-        """Rows r0:r1 of columns c0:c1 <- L^-1 times them, L the unit-lower
-        triangle stored in rows and columns r0:r1."""
-        a = self.a
-        if r1 - r0 > _DET_LEAF:
-            mid = (r0 + r1) // 2
-            self.trsm(r0, mid, c0, c1)
-            self.subtract_product(a[:, mid:r1, c0:c1], a[:, mid:r1, r0:mid], a[:, r0:mid, c0:c1])
-            self.trsm(mid, r1, c0, c1)
-            return
-        self.check(r1 - r0 - 1)
-        for t in range(r0, r1):
-            row = a[:, t : t + 1, c0:c1]
-            self.reduce(row)
-            a[:, t + 1 : r1, c0:c1] -= a[:, t + 1 : r1, t : t + 1] * row
-
-    def lu(self, c0: int, c1: int) -> None:
-        """Factor columns c0:c1 of rows c0:n: L below the diagonal, U on and
-        above it."""
-        a = self.a
-        if c1 - c0 > _DET_LEAF:
-            mid = (c0 + c1) // 2
-            self.lu(c0, mid)
-            self.trsm(c0, mid, mid, c1)
-            self.subtract_product(a[:, mid:, mid:c1], a[:, mid:, c0:mid], a[:, c0:mid, mid:c1])
-            self.lu(mid, c1)
-            return
-        self.check(c1 - c0 - 1)
-        stack = np.arange(len(self.primes))
-        for j in range(c0, c1):
-            column = a[:, j:, j : j + 1]
-            self.reduce(column)
-            piv = j + (column[:, :, 0] != 0).argmax(axis=1)
-            swap = piv != j
-            if swap.any():
-                s, r = stack[swap], piv[swap]
-                held = a[s, j]
-                a[s, j] = a[s, r]
-                a[s, r] = held
-                self.swaps[swap] += 1
-            row = a[:, j : j + 1, j + 1 : c1]
-            self.reduce(row)
-            inv = [pow(int(v), -1, q) if v else 0 for v, q in zip(a[:, j, j].tolist(), self.primes)]
-            below = a[:, j + 1 :, j : j + 1]
-            below *= np.array(inv)[:, None, None]
-            self.reduce(below)
-            a[:, j + 1 :, j + 1 : c1] -= below * row
+def _reduce(c: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
+    """c <- c - rint(c / p) * p in place, which leaves |c| <= p/2 + 2."""
+    q = c * p_inv
+    np.rint(q, out=q)
+    q *= p
+    c -= q
 
 
-def _det_mod_stack(m: np.ndarray, primes: list[int]) -> list[int]:
-    """det m mod p for each prime, by one LU over a (P, n, n) float64 stack.
+def _pivot_from_below(
+    a: np.ndarray, g: np.ndarray, j0: int, t: int, p: np.ndarray, p_inv: np.ndarray
+) -> int:
+    """Give one prime a nonzero pivot in column t of the panel at j0; ``a``
+    and ``g`` are its layers of the stack and of the Gauss-Jordan state.
 
-    Toledo-style recursion on the columns: factor the left half, solve its
-    unit-lower triangle against the right half (a recursive TRSM), subtract
-    the Schur product with one batched matmul, factor the right half.  At
-    ``_DET_LEAF`` columns or rows and below, the LU and the TRSM go column
-    by column, reducing only the column and row they pivot on and letting
-    the rest of the leaf gather its rank-one terms unreduced.
+    Takes the first nonzero at or below the diagonal: block rows from ``g``,
+    rows below the block brought up to date for this column alone.  Swaps
+    that row with the diagonal row in the stack and rebuilds the two rows'
+    Gauss-Jordan state from it.  Returns the swap count, 0 or 1."""
+    w = g.shape[0]
+    j1 = j0 + w
+    done = g[:t, t:]
+    _reduce(done, p, p_inv)
+    low = a[j1:, j0 + t] - a[j1:, j0 : j0 + t] @ done[:, 0]
+    _reduce(low, p, p_inv)
+    nonzero = np.flatnonzero(np.concatenate([g[t + 1 :, t], low]))
+    if nonzero.size == 0:
+        return 0
+    r = j0 + t + 1 + int(nonzero[0])
+    a[[j0 + t, r], j0:] = a[[r, j0 + t], j0:]
+    for i in (t, r - j0) if r < j1 else (t,):
+        g[i, t:w] = a[j0 + i, j0 + t : j1]
+        g[i, w:] = np.arange(w) == i
+        g[i, t:] -= a[j0 + i, j0 : j0 + t] @ done
+        _reduce(g[i, t:], p, p_inv)
+    return 1
 
-    Exactness: the reduction x - rint(x * (1/p)) * p leaves |r| <= p/2 + 3,
-    so a residue is zero exactly when it is 0 mod p.  Between two reductions
-    an entry gathers at most k = ``_det_dot_length(n)`` products of a reduced
-    left factor (an L entry or a multiplier) and a residue below p, so it
-    and its rounding product stay below k * (p/2 + 3) * (p - 1) + 2p, which
-    is at most k * (p - 1)**2 + p for p > 16.  That bound is checked against
-    2**53, below which float64 holds every integer exactly.  Pivoting is
-    partial and per prime, and swaps whole rows; a prime with no pivot in
-    some column gets a zero on its diagonal.
+
+def _det_mod_stack(m: np.ndarray, primes: list[int], stack: np.ndarray | None = None) -> list[int]:
+    """det m mod p for each prime, by one blocked LU over a (P, n, n) float32
+    stack of residues, one prime per layer, held in ``stack`` when given.
+
+    Right-looking, ``_DET_PANEL`` = b columns at a time.  Gauss-Jordan on
+    the diagonal block A11, in float64 and augmented by the identity, gives
+    its pivots and A11^-1; the trailing matrix then becomes the Schur
+    complement A22 - A21 (A11^-1 A12), a block of b rows at a time, each
+    with one batched matmul and one reduction.  A prime whose diagonal
+    residue is zero pivots on the first nonzero at or below the diagonal
+    (``_pivot_from_below``), swapping whole rows of the stack; a prime with
+    no pivot in some column gets a zero on its diagonal.  Columns left of
+    the panel are never read again.
+
+    Exactness: the reduction leaves |r| <= p/2 + 2, so a residue is zero
+    exactly when it is 0 mod p, and float32 stores every residue exactly
+    while p < 2**24.  Between two reductions an entry gathers at most k
+    products of two reduced factors: k = w - 1 in the Gauss-Jordan state of
+    a panel of width w and in the rows ``_pivot_from_below`` brings up to
+    date, k = w in A11^-1 A12 and in the trailing update.  It and its
+    rounding product then stay below k * (p - 1)**2 + p for p > 16, which is
+    checked against 2**53 before each such sum is formed.
     """
     n = m.shape[0]
-    lu = _StackLU(m, primes)
-    lu.lu(0, n)
-    diagonal = lu.a[:, np.arange(n), np.arange(n)].astype(np.int64).tolist()
-    return [(-1) ** int(t) * math.prod(d) % q for d, t, q in zip(diagonal, lu.swaps, primes)]
+    top = max(primes)
+    if top >= 1 << _FLOAT32_BITS:
+        raise AssertionError("prime too wide for exact float32 storage")
+    a = np.empty((len(primes), n, n), dtype=np.float32) if stack is None else stack[: len(primes)]
+    for i, q in enumerate(primes):
+        np.remainder(m, q, out=a[i], casting="unsafe")
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    p_inv = 1.0 / p
+    swaps = np.zeros(len(primes), dtype=np.int64)
+    diagonal = np.empty((len(primes), n))
+    for j0 in range(0, n, _DET_PANEL):
+        j1 = min(j0 + _DET_PANEL, n)
+        w = j1 - j0
+        _check_float64_sums(w - 1, top)
+        eye = np.broadcast_to(np.eye(w), (len(primes), w, w))
+        g = np.concatenate((a[:, j0:j1, j0:j1], eye), axis=2, dtype=np.float64)
+        for t in range(w):
+            column = g[:, :, t]
+            _reduce(column, p[:, 0], p_inv[:, 0])
+            if not column[:, t].all():
+                for s in np.flatnonzero(column[:, t] == 0):
+                    swaps[s] += _pivot_from_below(a[s], g[s], j0, t, p[s, 0], p_inv[s, 0])
+            pivots = column[:, t].tolist()
+            diagonal[:, j0 + t] = pivots
+            row = g[:, t, t + 1 :]
+            _reduce(row, p[:, 0], p_inv[:, 0])
+            row *= np.array([pow(int(v), -1, q) if v else 0 for v, q in zip(pivots, primes)])[:, None]
+            _reduce(row, p[:, 0], p_inv[:, 0])
+            column[:, t] = 0
+            g[:, :, t + 1 :] -= column[:, :, None] * row[:, None, :]
+        if j1 == n:
+            break
+        _check_float64_sums(w, top)
+        a11_inv = g[:, :, w:]
+        _reduce(a11_inv, p, p_inv)
+        x = np.matmul(a11_inv, a[:, j0:j1, j1:].astype(np.float64))
+        _reduce(x, p, p_inv)
+        for r0 in range(j1, n, _DET_PANEL):
+            r1 = min(r0 + _DET_PANEL, n)
+            c = np.matmul(a[:, r0:r1, j0:j1].astype(np.float64), x)
+            np.subtract(a[:, r0:r1, j1:], c, out=c)
+            _reduce(c, p, p_inv)
+            a[:, r0:r1, j1:] = c
+    residues = diagonal.astype(np.int64).tolist()
+    return [(-1) ** int(t) * math.prod(d) % q for d, t, q in zip(residues, swaps, primes)]
 
 
 def integer_determinant(matrix) -> int:
-    """Exact determinant: modular LU on float64 stacks of primes, then CRT
-    against the Hadamard row-norm bound."""
+    """Exact determinant: blocked modular LU on float32 stacks of primes,
+    then CRT against the Hadamard row-norm bound."""
     m = _as_square_int_matrix(matrix)
     n = m.shape[0]
     if n == 0:
@@ -492,11 +489,13 @@ def integer_determinant(matrix) -> int:
     bits = 1.0
     for norm_sq in _square_norms(m, axis=1):
         bits += 0.5 * math.log2(max(1, norm_sq))
-    primes = _prime_batch(bits + 1, _prime_width(_det_dot_length(n), _FLOAT64_BITS))
-    per_stack = max(1, _DET_STACK_BYTES // (8 * n * n))
+    width = min(_FLOAT32_BITS, _prime_width(_DET_PANEL, _FLOAT64_BITS))
+    primes = _prime_batch(bits + 1, width)
+    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // (4 * n * n + 40 * _DET_PANEL * n)))
+    stack = np.empty((per_stack, n, n), dtype=np.float32)
     residues = []
     for start in range(0, len(primes), per_stack):
-        residues += _det_mod_stack(m, primes[start : start + per_stack])
+        residues += _det_mod_stack(m, primes[start : start + per_stack], stack)
     return _crt_columns(np.array(residues, dtype=np.int64)[:, None], primes)[0]
 
 
@@ -580,6 +579,19 @@ def _reduced_char_poly(m: np.ndarray) -> tuple[IntegerPolynomial, list[tuple[int
 
 # ---------------------------------------------------------------------------
 # integral spectra and spanning trees
+
+
+def decimal_string(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    (4300 digits by default), which tree counts pass at a few thousand
+    vertices.  ``decimal.Decimal`` converts from the binary representation
+    exactly at any size, so the interpreter-wide limit is left as it is.
+    """
+    import decimal  # here, not at the top: it adds about 5 ms to every package import
+
+    return str(decimal.Decimal(value))
 
 
 def _split_spectrum(
@@ -666,8 +678,7 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     if method in ("eigenvalues", "both"):
         by_eigen = _eigenvalue_tree_count(*_reduced_char_poly(lap), n)
     if method in ("determinant", "both"):
-        minor = np.delete(np.delete(lap, 0, axis=0), 0, axis=1)
-        by_det = integer_determinant(minor)
+        by_det = integer_determinant(lap[1:, 1:])
         if by_det < 0:
             raise AssertionError("Kirchhoff cofactor came out negative")
     if method == "eigenvalues":
@@ -675,7 +686,9 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     if method == "determinant":
         return by_det
     if by_eigen != by_det:
-        raise AssertionError(f"tree-count paths disagree: {by_eigen} vs {by_det}")
+        raise AssertionError(
+            f"tree-count paths disagree: {decimal_string(by_eigen)} vs {decimal_string(by_det)}"
+        )
     return by_det
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from superspectra import formulas
+from superspectra import formulas, spectral
 from superspectra.cli import THREADS_ENV, main
 from superspectra import (
     CSCOM,
@@ -208,6 +208,6 @@ def test_report_renders_tree_counts_past_the_int_str_limit(monkeypatch):
     assert case["computed_trees"] == case["predicted_trees"] == HUGE_DIGITS
     assert case["tree_methods_agree"] and case["passed"]
     assert report.to_csv().strip().split("\n")[1].split(",")[6] == HUGE_DIGITS
-    assert formulas.decimal_string(-HUGE) == "-" + HUGE_DIGITS
+    assert spectral.decimal_string(-HUGE) == "-" + HUGE_DIGITS
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit

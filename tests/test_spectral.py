@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from superspectra import (
 )
 from superspectra import spectral
 from superspectra.spectral import (
-    _det_dot_length,
+    _DET_PANEL,
     _det_mod_stack,
     _prime_batch,
     _prime_width,
@@ -349,6 +350,14 @@ class TestSpanningTrees:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         assert spanning_tree_count(g) == 0
 
+    def test_disagreement_is_an_assertion_at_any_size(self, monkeypatch):
+        # a count past str()'s 4300-digit limit still reaches the message in full
+        monkeypatch.setattr(spectral, "_eigenvalue_tree_count", lambda poly, twins, n: 10**5000)
+        monkeypatch.setattr(spectral, "integer_determinant", lambda minor: 1)
+        with pytest.raises(AssertionError) as caught:
+            spanning_tree_count(complete(4), method="both")
+        assert str(caught.value) == "tree-count paths disagree: 1" + "0" * 5000 + " vs 1"
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cayley_formula(self, n):
         assert spanning_tree_count(complete(n)) == n ** (n - 2)
@@ -447,36 +456,81 @@ class TestPrimeWidth:
             assert char_poly(m).coefficients == tuple(naive_char_poly(m))
 
 
-class TestKirchhoffLU:
-    """The Kirchhoff cofactor runs a modular LU on float64 stacks of primes.
-    It is exact while k * (p - 1)**2 + p < 2**53, k the longest sum of
-    products it forms between two reductions."""
+def is_prime(q):
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
-    def test_float64_width_edge(self):
-        # k = 128 (n = 257) still takes 23-bit primes, k = 129 (n = 258) not
-        assert _det_dot_length(257) == 128 and _det_dot_length(258) == 129
-        assert _prime_width(128, 53) == 23
-        assert _prime_width(129, 53) == 22
-        top = max(_prime_batch(200, 23))
-        assert 128 * (top - 1) ** 2 + top < 1 << 53 <= 129 * (top - 1) ** 2 + top
+
+def edge_primes(length, bits):
+    """The largest prime p with length * (p - 1)**2 + p < 2**bits, and the
+    next prime after it."""
+    p = math.isqrt((1 << bits) // length) + 2
+    while length * (p - 1) ** 2 + p >= 1 << bits:
+        p -= 1
+    below = next(q for q in range(p, 1, -1) if is_prime(q))
+    return below, next(q for q in range(p + 1, 2 * p) if is_prime(q))
+
+
+def stack_bytes(n, per_stack):
+    """A ``_DET_STACK_BYTES`` that holds ``per_stack`` primes at order n."""
+    return (4 * n * n + 40 * _DET_PANEL * n) * per_stack
+
+
+class TestKirchhoffLU:
+    """The Kirchhoff cofactor runs a blocked modular LU on float32 stacks of
+    primes.  Storage is exact while p < 2**24, and the float64 arithmetic
+    while k * (p - 1)**2 + p < 2**53, k the longest sum of products it forms
+    between two reductions."""
+
+    def test_float64_width_edge(self, monkeypatch):
+        # sums of _DET_PANEL = 16 products fit 24-bit primes, with room up
+        # to 32; the cofactor takes 24-bit primes at every order
+        assert _DET_PANEL == 16
+        assert _prime_width(16, 53) == _prime_width(32, 53) == 24
+        assert _prime_width(33, 53) == 23
         assert _prime_width(2, 53) == 26 and _prime_width(3, 53) == 25
+        top = max(_prime_batch(200, 24))
+        assert 16 * (top - 1) ** 2 + top < 1 << 53
+        seen = []
+
+        def spy(matrix, primes, stack):
+            seen.extend(primes)
+            return _det_mod_stack(matrix, primes, stack)
+
+        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
+        integer_determinant(np.eye(300, dtype=np.int64) * 7)
+        assert seen and all(1 << 23 < q < 1 << 24 for q in seen)
+        # with float32 storage out of the way, the first prime past
+        # 16 * (p - 1)**2 + p < 2**53 is refused by the float64 check
+        _, past = edge_primes(16, 53)
+        assert past < 1 << 25
+        monkeypatch.setattr(spectral, "_FLOAT32_BITS", 25)
+        m = np.random.default_rng(1).integers(-9, 10, size=(20, 20))
+        with pytest.raises(AssertionError, match="float64"):
+            _det_mod_stack(m, [past])
 
     def test_too_wide_prime_is_refused(self):
-        m = np.eye(20, dtype=np.int64)
-        with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack(m, [max(_prime_batch(30, 26))])
+        m = np.random.default_rng(2).integers(-9, 10, size=(20, 20))
+        widest = max(_prime_batch(30, 24))
+        assert _det_mod_stack(m, [widest]) == [det_mod(m % widest, widest)]
+        above = next(q for q in range(1 << 24, 1 << 25) if is_prime(q))
+        with pytest.raises(AssertionError, match="float32"):
+            _det_mod_stack(m, [above])
 
-    @pytest.mark.parametrize("n", [2, 5, 8, 9, 16, 17, 33, 70])
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 15, 16, 17, 33, 70])
     def test_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
-        # one less than _det_dot_length trips the run-time check, so the
-        # bound is asserted for the sums the recursion really forms
+        # under a 40-bit budget, a prime that admits the longest sum the LU
+        # forms (n - 1 in a lone panel, _DET_PANEL in a trailing update)
+        # runs exactly, and the next prime, which admits one product less,
+        # trips the run-time check
+        longest = min(n - 1, _DET_PANEL)
+        monkeypatch.setattr(spectral, "_FLOAT64_BITS", 40)
+        fits, past = edge_primes(longest, 40)
+        assert (longest - 1) * (past - 1) ** 2 + past < 1 << 40
         m = np.random.default_rng(n).integers(-9, 10, size=(n, n))
-        primes = _prime_batch(60, 20)
-        expected = [det_mod(m % p, p) for p in primes]
-        assert _det_mod_stack(m, primes) == expected
-        monkeypatch.setattr(spectral, "_det_dot_length", lambda size: _det_dot_length(size) - 1)
+        primes = [fits] + _prime_batch(60, 16)
+        assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
         with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack(m, primes)
+            _det_mod_stack(m, [past])
 
     def test_anti_diagonal_permutation(self):
         for n in (7, 40):
@@ -491,20 +545,33 @@ class TestKirchhoffLU:
     def test_singular(self):
         m = np.random.default_rng(4).integers(-5, 6, size=(30, 30))
         m[17] = m[2] - 3 * m[9]
-        primes = _prime_batch(80, 23)
+        primes = _prime_batch(80, 24)
         assert _det_mod_stack(m, primes) == [0] * len(primes)
         assert integer_determinant(m) == 0
 
+    def test_pivot_from_below_the_panel(self):
+        # the leading column is 0 mod p1 down to row 39 and nonzero below,
+        # so p1 alone pivots on row 40, in the third panel; p2 and p3 need
+        # no swap there
+        p1, p2, p3 = _prime_batch(80, 24)[:3]
+        rng = np.random.default_rng(9)
+        m = rng.integers(-50, 51, size=(60, 60))
+        m[:40, 0] = p1 * rng.integers(1, 4, size=40)
+        m[40, 0] = 7
+        primes = [p2, p1, p3]
+        assert [m[0, 0] % q != 0 for q in primes] == [True, False, True]
+        assert _det_mod_stack(m, primes) == [det_mod(m % q, q) for q in primes]
+        assert integer_determinant(m) == bareiss_determinant(m)
+
     def test_primes_dividing_the_determinant(self, monkeypatch):
         n = 12
-        width = _prime_width(_det_dot_length(n), 53)
-        p1, p2 = _prime_batch(60, width)[:2]
+        p1, p2 = _prime_batch(60, 24)[:2]
         m = np.diag([p1, p2] + [1] * (n - 2))
         seen = []
 
-        def spy(matrix, primes):
+        def spy(matrix, primes, stack):
             seen.extend(primes)
-            return _det_mod_stack(matrix, primes)
+            return _det_mod_stack(matrix, primes, stack)
 
         monkeypatch.setattr(spectral, "_det_mod_stack", spy)
         assert integer_determinant(m) == p1 * p2
@@ -514,17 +581,22 @@ class TestKirchhoffLU:
     def test_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
         m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
         sizes = []
+        stacks = set()
 
-        def spy(matrix, primes):
+        def spy(matrix, primes, stack):
             sizes.append(len(primes))
-            return _det_mod_stack(matrix, primes)
+            stacks.add(id(stack))
+            return _det_mod_stack(matrix, primes, stack)
 
         monkeypatch.setattr(spectral, "_det_mod_stack", spy)
         for per_stack in (1, 3):
             sizes.clear()
-            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", 8 * 40 * 40 * per_stack)
+            stacks.clear()
+            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", stack_bytes(40, per_stack))
             assert integer_determinant(m) == bareiss_determinant(m)
             assert set(sizes[:-1]) == {per_stack}
+            # one stack per call, reused for every batch
+            assert len(stacks) == 1
         assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
 
     def test_object_entries_beyond_int64(self):
@@ -541,10 +613,27 @@ class TestKirchhoffLU:
         assert _square_norms(extreme, axis=1) == [2**126, 1]
 
     def test_offcatalog_lift_tree_count(self):
-        # order 200, 23-bit primes, several stacks: Kirchhoff against the
+        # order 200, 24-bit primes, several stacks: Kirchhoff against the
         # twin-quotient eigenvalue product
         graph = named_super_graph(build_group(DIHEDRAL, 100), "enhanced", "equality")
         assert spanning_tree_count(graph, method="both") > 0
+
+    @pytest.mark.parametrize(
+        "family,n,base,relation",
+        [(SEMIDIHEDRAL, 16, "commuting", "conjugacy"), (DIHEDRAL, 100, "enhanced", "equality")],
+    )
+    def test_memory_peak(self, family, n, base, relation):
+        # the stack and its float64 temporaries stay within _DET_STACK_BYTES;
+        # integer_determinant also holds one int64 copy of its input
+        minor = laplacian(named_super_graph(build_group(family, n), base, relation))[1:, 1:]
+        tracemalloc.start()
+        try:
+            trees = integer_determinant(minor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trees > 0
+        assert peak <= spectral._DET_STACK_BYTES + minor.size * 8, peak
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,11 +653,11 @@ def test_kirchhoff_lu_matches_oracles(n, seed, spread, zeros, dependent, per_sta
     m[rng.random((n, n)) < zeros] = 0
     if dependent and n > 1:
         m[rng.integers(n)] = m[0] - m[n - 1]
-    primes = _prime_batch(30 * n, _prime_width(_det_dot_length(n), 53))
+    primes = _prime_batch(30 * n, 24)
     assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
     assert _det_mod_stack(m, primes[:1]) == [det_mod(m % primes[0], primes[0])]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_DET_STACK_BYTES", 8 * n * n * per_stack)
+        patch.setattr(spectral, "_DET_STACK_BYTES", stack_bytes(n, per_stack))
         assert integer_determinant(m) == bareiss_determinant(m)
 
 
