@@ -197,7 +197,8 @@ def structural_graph(kind: str, family: str, n: int) -> SimpleGraph:
     if n < _MIN_N[family]:
         raise ParameterOutOfRange(f"{family} needs n >= {_MIN_N[family]}, got {n}")
     outer, parts = _structural_layout(kind, family, n)
-    spec = CompositionSpec(outer=outer, parts=tuple(complete(len(p)) for p in parts))
+    cliques = {size: complete(size) for size in {len(p) for p in parts}}
+    spec = CompositionSpec(outer=outer, parts=tuple(cliques[len(p)] for p in parts))
     composed = compose(spec)
     perm = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
     position = np.empty_like(perm)  # composed vertex of each canonical index

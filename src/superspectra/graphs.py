@@ -6,7 +6,8 @@ whenever some member of [g] is A-adjacent to some member of [h].  Read
 literally that does not make two vertices of the same class adjacent unless
 the class contains an internal A-edge; the structural results for these
 families require classes to become cliques, so ``class_cliques=True`` is the
-default and the literal reading stays available behind the flag.
+default and the literal reading stays available behind the flag.  The rule
+is a boolean OR over class blocks, computed as one on bit-packed rows.
 """
 
 from __future__ import annotations
@@ -131,15 +132,6 @@ def commuting_graph(table: GroupTable) -> SimpleGraph:
     return SimpleGraph(adj, group=table)
 
 
-def _exact_float_dtype(bound: int) -> type:
-    """Narrowest float type that holds every integer in [0, bound] exactly:
-    float32 below 2**24, float64 below 2**53."""
-    for dtype in (np.float32, np.float64):
-        if bound < 2 ** (np.finfo(dtype).nmant + 1):
-            return dtype
-    raise AssertionError(f"integers up to {bound} exceed the exact range of float64")
-
-
 def super_graph(base: SimpleGraph, classes: Partition, class_cliques: bool = True) -> SimpleGraph:
     """Lift ``base`` along the partition: [g] ~ [h] when an edge joins them.
 
@@ -154,13 +146,15 @@ def super_graph(base: SimpleGraph, classes: Partition, class_cliques: bool = Tru
         )
     if classes.block_count == n:
         return base  # all blocks singletons: the lift changes nothing
-    # every partial sum of the product counts edges between two blocks, a
-    # whole number in [0, n*n], so a float type exact that far runs it on BLAS
-    dtype = _exact_float_dtype(n * n)
-    member = np.zeros((classes.block_count, n), dtype=dtype)
-    member[classes.block_of, np.arange(n)] = 1
-    counts = member @ base.adjacency.astype(dtype) @ member.T
-    block_adj = counts > 0
+    # sorted by block, each block is a run of packed rows; OR-reducing the
+    # runs gives the k x n block rows, and the same over their columns the
+    # k x k block adjacency: some member of b is adjacent to some member of c
+    order = np.argsort(classes.block_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(classes.block_of))[:-1]))
+    rows = np.bitwise_or.reduceat(np.packbits(base.adjacency, axis=1)[order], starts, axis=0)
+    cols = np.packbits(np.unpackbits(rows, axis=1, count=n).T, axis=1)
+    cols = np.bitwise_or.reduceat(cols[order], starts, axis=0)
+    block_adj = np.unpackbits(cols, axis=1, count=classes.block_count).astype(bool)
     if class_cliques:
         np.fill_diagonal(block_adj, True)
     adj = block_adj[classes.block_of][:, classes.block_of]

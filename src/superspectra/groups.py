@@ -6,7 +6,8 @@ The queries work on whole tables rather than one element at a time.  One
 N x N membership table (x in <g>, built by advancing every generator at
 once) gives the element orders as row sums, the cyclic subgroups as its
 distinct rows and the maximal ones by one covering test per element order.
-Conjugacy classes are labelled by each element's least conjugate.
+Conjugacy classes are the orbits of conjugation by the generators a and b,
+each labelled by its least member through pointer doubling.
 ``build_group`` refuses an order whose product and membership tables would
 exceed a fixed memory budget, before allocating either.
 
@@ -37,9 +38,6 @@ _MIN_N = {DIHEDRAL: 3, QUATERNION: 2, SEMIDIHEDRAL: 2, CYCLIC: 1}
 # Bytes allowed for one group's N x N int64 product table plus the N x N
 # bool membership table of the whole-table queries: orders up to 10922.
 _TABLE_BUDGET_BYTES = 1 << 30
-# Rows of g per conjugation step in conjugacy_classes: two (chunk, N) int64
-# index arrays, 4 MB at N = 2000.
-_CONJUGATION_CHUNK = 128
 
 
 def _rotation_label(i: int) -> str:
@@ -81,6 +79,12 @@ class GroupTable:
     def rotation_count(self) -> int:
         """Size of the rotation block <a> at the front of the index space."""
         return self.order if self.family == CYCLIC else self.order // 2
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """a and b of the presentation: a alone when cyclic, none when trivial."""
+        gens = (1,) if self.family == CYCLIC else (1, self.rotation_count)
+        return gens if self.order > 1 else ()
 
     def mul(self, a: int, b: int) -> int:
         return int(self.product[a, b])
@@ -285,21 +289,22 @@ def equality_partition(n: int) -> Partition:
 
 
 def conjugacy_classes(table: GroupTable) -> Partition:
-    """Orbit partition of the conjugation action.
-
-    Each element is labelled by its least conjugate, the minimum of
-    g*x*g^-1 over all g, taken _CONJUGATION_CHUNK rows of g at a time so
-    that no N x N index temporary is formed.  Sorting the labels orders the
-    classes by least member.
+    """Orbit partition of the conjugation action, whose orbits are those of
+    x -> g*x*g^-1 for g among the generators.  Pointer doubling (label =
+    min(label, label[s]), s = s[s]) spreads the least label along each cycle
+    of one such permutation; the generators take turns until none changes a
+    label, leaving each element labelled by the least member of its class.
+    Sorting the labels orders the classes by least member.
     """
     p = table.product
-    inv = table.inverse
-    n = table.order
-    least = np.arange(n)
-    for lo in range(0, n, _CONJUGATION_CHUNK):
-        g = np.arange(lo, min(lo + _CONJUGATION_CHUNK, n))
-        np.minimum(least, p[p[g], inv[g, None]].min(axis=0), out=least)
-    _, block_of = np.unique(least, return_inverse=True)
+    perms = [p[p[g], table.inverse[g]] for g in table.generators]
+    label, last = np.arange(table.order), None
+    while not np.array_equal(label, last):
+        last = label
+        for s in perms:
+            while not np.array_equal(spread := np.minimum(label, label[s]), label):
+                label, s = spread, s[s]
+    _, block_of = np.unique(label, return_inverse=True)
     return _partition_from_labels(block_of)
 
 

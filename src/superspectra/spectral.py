@@ -185,7 +185,7 @@ def _as_square_int_matrix(matrix) -> np.ndarray:
         return np.array([[int(x) for x in row] for row in m], dtype=object)
     if not np.issubdtype(m.dtype, np.integer):
         raise TypeError("exact routines accept integer matrices only")
-    return m.astype(np.int64)
+    return m.astype(np.int64, copy=False)
 
 
 def _mod_reduce(matrix: np.ndarray, p: int) -> np.ndarray:

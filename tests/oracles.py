@@ -6,8 +6,10 @@ enumeration for spanning trees, the literal existential definition for
 super-graph lifts, Fraction-based and fraction-free (Bareiss) elimination
 for rank, the spectrum read off kernel dimensions, schoolbook products of
 integer polynomials, per-prime int64 and Bareiss elimination for
-determinants, and the per-element group queries and pair-loop composition
-that the library's whole-table versions replaced.
+determinants, the per-element group queries and pair-loop composition that
+the library's whole-table versions replaced, and the edge-counting product
+lift and all-conjugators class scan that its boolean OR-reduction lift and
+generator-orbit classes replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from superspectra import (
     ArityMismatch,
     CompositionSpec,
+    DimensionMismatch,
     IntegerPolynomial,
     NotIntegral,
     Partition,
@@ -289,6 +292,38 @@ def brute_force_super(adjacency, block_of, class_cliques: bool):
     return out
 
 
+def exact_float_dtype(bound: int) -> type:
+    """Narrowest float type that holds every integer in [0, bound] exactly:
+    float32 below 2**24, float64 below 2**53."""
+    for dtype in (np.float32, np.float64):
+        if bound < 2 ** (np.finfo(dtype).nmant + 1):
+            return dtype
+    raise AssertionError(f"integers up to {bound} exceed the exact range of float64")
+
+
+def super_graph_by_product(base: SimpleGraph, classes: Partition, class_cliques: bool = True) -> SimpleGraph:
+    """The lift from edge counts between blocks: member @ A @ member.T on
+    float BLAS, exact because every partial sum is a whole number in
+    [0, n*n]."""
+    n = base.vertex_count
+    if classes.size != n:
+        raise DimensionMismatch(
+            f"graph has {n} vertices but the partition covers {classes.size}"
+        )
+    if classes.block_count == n:
+        return base
+    dtype = exact_float_dtype(n * n)
+    member = np.zeros((classes.block_count, n), dtype=dtype)
+    member[classes.block_of, np.arange(n)] = 1
+    counts = member @ base.adjacency.astype(dtype) @ member.T
+    block_adj = counts > 0
+    if class_cliques:
+        np.fill_diagonal(block_adj, True)
+    adj = block_adj[classes.block_of][:, classes.block_of]
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj, group=base.group)
+
+
 def brute_force_power_edges(table) -> set[tuple[int, int]]:
     """x ~ y when one is a positive power of the other, by direct search."""
     n = table.order
@@ -473,6 +508,22 @@ def conjugacy_classes_by_orbits(table) -> Partition:
         assigned[orbit] = len(blocks)
         blocks.append(tuple(int(g) for g in orbit))
     return Partition(block_of=assigned, blocks=tuple(blocks))
+
+
+def conjugacy_classes_by_least_conjugate(table, chunk: int = 128) -> Partition:
+    """Each element labelled by its least conjugate, the minimum of
+    g*x*g^-1 over all g, taken ``chunk`` rows of g at a time; sorting the
+    labels orders the classes by least member."""
+    p = table.product
+    inv = table.inverse
+    n = table.order
+    least = np.arange(n)
+    for lo in range(0, n, chunk):
+        g = np.arange(lo, min(lo + chunk, n))
+        np.minimum(least, p[p[g], inv[g, None]].min(axis=0), out=least)
+    _, block_of = np.unique(least, return_inverse=True)
+    blocks = [tuple(np.flatnonzero(block_of == b).tolist()) for b in range(block_of.max() + 1)]
+    return _partition_from_blocks(n, blocks)
 
 
 def order_partition_by_element_order(table) -> Partition:

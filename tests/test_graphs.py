@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,14 +28,17 @@ from superspectra import (
     relation_partition,
     super_graph,
 )
-from superspectra.graphs import _exact_float_dtype
 
 from conftest import ORACLE_SWEEP
 from oracles import (
     brute_force_power_edges,
     brute_force_super,
+    conjugacy_classes_by_least_conjugate,
+    conjugacy_classes_by_orbits,
     cyclic_subgroup_by_powers,
     enhanced_by_common_cyclic,
+    exact_float_dtype,
+    super_graph_by_product,
 )
 
 GROUP_SWEEP = (
@@ -42,6 +47,9 @@ GROUP_SWEEP = (
     + [(SEMIDIHEDRAL, n) for n in (2, 3, 4)]
     + [(CYCLIC, n) for n in (1, 2, 5, 8)]
 )
+
+
+_BASE_GRAPHS = {"power": power_graph, "enhanced": enhanced_power_graph, "commuting": commuting_graph}
 
 
 def refl(table, i):
@@ -330,9 +338,7 @@ def test_lift_matches_existential_definition(family_n, base, relation, flag):
     family, n = family_n
     table = build_group(family, n)
     graph = named_super_graph(table, base, relation, class_cliques=flag)
-    base_graph = {"power": power_graph, "enhanced": enhanced_power_graph, "commuting": commuting_graph}[
-        base
-    ](table)
+    base_graph = _BASE_GRAPHS[base](table)
     part = relation_partition(table, relation)
     assert np.array_equal(
         graph.adjacency, brute_force_super(base_graph.adjacency, part.block_of, flag)
@@ -354,7 +360,7 @@ def int64_lift(adjacency, block_of, class_cliques):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.data(), st.booleans())
-def test_float_lift_matches_int64_product_and_definition(n, data, flag):
+def test_lift_matches_int64_product_and_definition(n, data, flag):
     pairs = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     adj = np.triu(np.array(pairs, dtype=bool).reshape(n, n), 1)
     adj = adj | adj.T
@@ -368,10 +374,63 @@ def test_float_lift_matches_int64_product_and_definition(n, data, flag):
 
 
 def test_exact_float_dtype_edges():
-    assert _exact_float_dtype(2**24 - 1) is np.float32
-    assert _exact_float_dtype(2**24) is np.float64
-    assert _exact_float_dtype(2**53 - 1) is np.float64
+    assert exact_float_dtype(2**24 - 1) is np.float32
+    assert exact_float_dtype(2**24) is np.float64
+    assert exact_float_dtype(2**53 - 1) is np.float64
     with pytest.raises(AssertionError):
-        _exact_float_dtype(2**53)
-    # the lift of an order-2000 group counts at most 2000**2 edges per block pair
-    assert _exact_float_dtype(2000 * 2000) is np.float32
+        exact_float_dtype(2**53)
+    # the product lift of an order-2000 group counts at most 2000**2 edges
+    # per block pair
+    assert exact_float_dtype(2000 * 2000) is np.float32
+
+
+@pytest.mark.parametrize("family,n", ORACLE_SWEEP)
+def test_lift_matches_product_oracle(family, n):
+    table = build_group(family, n)
+    for base in BASES:
+        graph = _BASE_GRAPHS[base](table)
+        for relation in ("conjugacy", "order"):
+            part = relation_partition(table, relation)
+            for flag in (True, False):
+                got = super_graph(graph, part, flag).adjacency
+                expected = super_graph_by_product(graph, part, flag).adjacency
+                assert np.array_equal(got, expected), (base, relation, flag)
+
+
+# the four lifts of the order-2000 build benchmark, and their order-1000 kin
+BUILD_LIFTS = (("enhanced", DIHEDRAL, 2), ("enhanced", QUATERNION, 4),
+               ("enhanced", SEMIDIHEDRAL, 8), ("commuting", SEMIDIHEDRAL, 8))
+
+
+@pytest.mark.parametrize("base,family,divisor", BUILD_LIFTS)
+def test_order_2000_classes_and_lift_match_oracles(base, family, divisor):
+    table = build_group(family, 2000 // divisor)
+    classes = conjugacy_classes(table)
+    for oracle in (conjugacy_classes_by_orbits, conjugacy_classes_by_least_conjugate):
+        expected = oracle(table)
+        assert classes.blocks == expected.blocks
+        assert np.array_equal(classes.block_of, expected.block_of)
+    graph = _BASE_GRAPHS[base](table)
+    for flag in (True, False):
+        assert np.array_equal(
+            super_graph(graph, classes, flag).adjacency,
+            super_graph_by_product(graph, classes, flag).adjacency,
+        )
+
+
+@pytest.mark.parametrize("order", [1000, 2000])
+@pytest.mark.parametrize("base,family,divisor", BUILD_LIFTS)
+def test_lift_memory_peak(base, family, divisor, order):
+    # packed rows, the N x k gather, the N x N result and the symmetry test
+    # of SimpleGraph; the product lift peaked at 6 N^2
+    table = build_group(family, order // divisor)
+    graph = _BASE_GRAPHS[base](table)
+    classes = conjugacy_classes(table)
+    tracemalloc.start()
+    try:
+        lifted = super_graph(graph, classes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lifted.vertex_count == order
+    assert peak <= 3 * order * order, peak / order**2

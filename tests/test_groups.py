@@ -28,6 +28,7 @@ from superspectra.groups import _TABLE_BUDGET_BYTES, _table_bytes
 
 from conftest import ORACLE_SWEEP
 from oracles import (
+    conjugacy_classes_by_least_conjugate,
     conjugacy_classes_by_orbits,
     cyclic_subgroups_by_powers,
     order_partition_by_element_order,
@@ -293,6 +294,7 @@ def test_whole_table_queries_match_per_element_oracles(family, n):
     for got, expected in (
         (order_partition(table), order_partition_by_element_order(table)),
         (conjugacy_classes(table), conjugacy_classes_by_orbits(table)),
+        (conjugacy_classes(table), conjugacy_classes_by_least_conjugate(table)),
     ):
         assert got.blocks == expected.blocks
         assert np.array_equal(got.block_of, expected.block_of)
@@ -300,6 +302,36 @@ def test_whole_table_queries_match_per_element_oracles(family, n):
     subs = cyclic_subgroups_by_powers(table)
     assert cyclic_subgroups(table) == subs
     assert maximal_cyclic_subgroups(table) == frozenset(s for s in subs if not any(s < t for t in subs))
+
+
+@pytest.mark.parametrize("family,n", ORACLE_SWEEP)
+def test_generators_generate_the_group(family, n):
+    table = build_group(family, n)
+    gens = np.array(table.generators, dtype=np.int64)
+    assert gens.size == (0 if table.order == 1 else 1 if family == CYCLIC else 2)
+    reached = np.zeros(table.order, dtype=bool)
+    reached[table.identity] = True
+    frontier = np.array([table.identity])
+    while frontier.size:
+        step = table.product[frontier[:, None], gens].ravel()
+        frontier = np.unique(step[~reached[step]])
+        reached[frontier] = True
+    assert reached.all()
+
+
+@pytest.mark.parametrize("family,n", [(DIHEDRAL, 1000), (QUATERNION, 500), (SEMIDIHEDRAL, 250)])
+def test_conjugacy_classes_memory_peak(family, n):
+    # order 2000: the generator permutations and labels are a few N-vectors;
+    # the scan over all conjugators peaked at 4.2 MB
+    table = build_group(family, n)
+    tracemalloc.start()
+    try:
+        classes = conjugacy_classes(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes.block_count == 503
+    assert peak < 500_000, peak
 
 
 class TestMemoryAdmission:
