@@ -4,6 +4,7 @@ and graph exports in stable formats."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,7 +141,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
-    report = verify(args.kind, FAMILY_TOKENS[args.family], ns, threads=max(1, args.threads))
+    threads = _default_threads() if args.threads is None else args.threads
+    report = verify(args.kind, FAMILY_TOKENS[args.family], ns, threads=max(1, threads))
     rendered = {"json": report.to_json, "csv": report.to_csv, "table": report.to_table}[args.format]()
     if args.output:
         # file gets the machine format, stdout keeps the human table
@@ -205,7 +207,10 @@ def _check_selector(parser: argparse.ArgumentParser, args) -> None:
         parser.error("select a graph with --kind or with --base and --relation")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing leaves it as it is,
+    and ``--threads`` reads its environment default when ``verify`` runs."""
     parser = argparse.ArgumentParser(
         prog="superspectra",
         description="exact Laplacian spectra of super graphs on dihedral, "
@@ -232,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--range", required=True, help="n range, e.g. 2..10 or a single n")
     p_verify.add_argument("--strict", action="store_true",
                           help="also fail when any theorem-variant mismatch exists")
-    p_verify.add_argument("--threads", type=int, default=_default_threads())
+    p_verify.add_argument("--threads", type=int,
+                          help=f"worker processes (default: ${THREADS_ENV}, else 1)")
     p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)

@@ -184,11 +184,14 @@ def _structural_layout(kind: str, family: str, n: int):
 def structural_graph(kind: str, family: str, n: int) -> SimpleGraph:
     """Build a supported graph from its structural expression alone.
 
-    The composition lays parts out consecutively; the result is then
-    relabelled onto the canonical group indexing (identity and central parts
-    first, rotation classes in exponent order, reflection classes in their
-    conventional order), making it directly comparable with the
-    definition-built graph.
+    Every part of the expression is a clique, so the composition
+    H[K_s1, .., K_sk] joins two distinct vertices exactly when their parts
+    are equal or adjacent in H: it is the outer adjacency with its diagonal
+    set, gathered at the part of each vertex, with the diagonal cleared.
+    The gather runs directly over the canonical group indexing (identity
+    and central parts first, rotation classes in exponent order, reflection
+    classes in their conventional order), making the result directly
+    comparable with the definition-built graph.
     """
     if kind not in KINDS:
         raise UnsupportedCombination(f"unknown kind {kind!r}; expected one of {KINDS}")
@@ -197,10 +200,10 @@ def structural_graph(kind: str, family: str, n: int) -> SimpleGraph:
     if n < _MIN_N[family]:
         raise ParameterOutOfRange(f"{family} needs n >= {_MIN_N[family]}, got {n}")
     outer, parts = _structural_layout(kind, family, n)
-    cliques = {size: complete(size) for size in {len(p) for p in parts}}
-    spec = CompositionSpec(outer=outer, parts=tuple(cliques[len(p)] for p in parts))
-    composed = compose(spec)
-    perm = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
-    position = np.empty_like(perm)  # composed vertex of each canonical index
-    position[perm] = np.arange(perm.size)
-    return SimpleGraph(composed.adjacency[position][:, position])
+    vertices = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
+    part_of = np.empty_like(vertices)  # part of each canonical vertex
+    part_of[vertices] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    same_or_adjacent = outer.adjacency | np.eye(len(parts), dtype=bool)
+    adj = same_or_adjacent[part_of][:, part_of]
+    np.fill_diagonal(adj, False)
+    return SimpleGraph(adj)

@@ -28,6 +28,19 @@ from .groups import (
 
 BASES = ("power", "enhanced", "commuting")
 RELATIONS = ("equality", "conjugacy", "order")
+_SYMMETRY_ROWS = 64  # rows per block of the symmetry test
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """a == a.T for a square array, compared a block of rows at a time
+    against the matching columns, up to the block's diagonal: the
+    temporaries hold ``_SYMMETRY_ROWS`` rows, never a whole transpose."""
+    n = a.shape[0]
+    for r0 in range(0, n, _SYMMETRY_ROWS):
+        r1 = min(r0 + _SYMMETRY_ROWS, n)
+        if not np.array_equal(a[r0:r1, :r1], a[:r1, r0:r1].T):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +59,7 @@ class SimpleGraph:
             a = self.adjacency
         if np.any(np.diagonal(a)):
             raise ValueError("self-loops are not allowed")
-        if not np.array_equal(a, a.T):
+        if not _is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
         if self.group is not None and self.group.order != a.shape[0]:
             raise ValueError("vertex count disagrees with the attached group")

@@ -15,17 +15,22 @@ stays inside int64, which lets numpy carry the O(N^3) inner loops.
 
 The Kirchhoff cofactor (``integer_determinant``) is computed the same way,
 by CRT against the Hadamard row-norm bound, but its residues come from a
-blocked LU over a (P, n, n) float32 stack of residues, one prime per layer,
-allocated once per call and about 1.5 MB with its float64 temporaries.  Per
-panel of 16 columns, Gauss-Jordan on the diagonal block in float64 gives
-its pivots and inverse, and the trailing matrix takes its Schur complement
-in row blocks, each one batched float64 matmul on BLAS and one reduction
-mod p.  The primes are 24-bit at every order, and two bounds are asserted
-at run time: p < 2**24, below which float32 holds every residue exactly,
-and 16 * (p - 1)**2 + p < 2**53, below which float64 holds every sum of up
-to 16 products of residues and its rounding product exactly.  The two
-prime widths come from one selector with an int64 budget (63 bits) for the
-char poly and a float64 budget (53 bits) for the cofactor.
+blocked LU over a float32 stack of residues, one prime per layer, allocated
+once per call and about 1.5 MB with its float64 temporaries.  Per panel of
+16 columns, Gauss-Jordan on the diagonal block in float64 gives its pivots
+and inverse, and the trailing matrix takes its Schur complement in row
+blocks, each one batched float64 matmul on BLAS and one reduction mod p.
+A Kirchhoff minor is symmetric, so symmetric int64 input keeps only the
+lower triangle, packed in row blocks of about n**2 / 2 + 8n entries per
+prime, and updates each row block only up to its diagonal, with no row
+swaps.  A prime whose pivot is 0 there, and every prime of other input,
+goes to the general LU over a (P, n, n) stack, which pivots from below.
+The primes are 24-bit at every order, and two bounds are asserted at run
+time: p < 2**24, below which float32 holds every residue exactly, and
+16 * (p - 1)**2 + p < 2**53, below which float64 holds every sum of up to
+16 products of residues and its rounding product exactly.  The two prime
+widths come from one selector with an int64 budget (63 bits) for the char
+poly and a float64 budget (53 bits) for the cofactor.
 
 The spectrum and the eigenvalue tree count first reduce a matrix along its
 twin classes.  A matrix counts as a graph Laplacian when it is symmetric,
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotIntegral
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _is_symmetric
 
 _PRIME_BITS = 26
 _INT64_BITS = 63  # int64 holds every integer below 2**63
@@ -62,8 +67,10 @@ _FLOAT64_BITS = 53  # float64 holds every integer below 2**53 exactly
 _FLOAT32_BITS = 24  # float32 holds every integer below 2**24 exactly
 _DET_PANEL = 16  # Kirchhoff LU panel width, and rows per block of its trailing update
 # float32 residue stack of one batch of primes with its float64 temporaries:
-# 4n**2 + 40 * _DET_PANEL * n bytes per prime, 5 primes at order 200 and 10 at
-# 128.  Larger stacks raise peak RSS (2 MB float64 stacks: +10% on a catalog sweep).
+# 4 * _packed_size(n) + 40 * _DET_PANEL * n bytes per prime for symmetric input,
+# 7 primes at order 200 and 13 at 128; 4n**2 + 40 * _DET_PANEL * n for the
+# general LU, 5 at order 200.  Larger stacks raise peak RSS (2 MB float64
+# stacks: +10% on a catalog sweep).
 _DET_STACK_BYTES = 3 << 19
 
 
@@ -479,9 +486,127 @@ def _det_mod_stack(m: np.ndarray, primes: list[int], stack: np.ndarray | None = 
     return [(-1) ** int(t) * math.prod(d) % q for d, t, q in zip(residues, swaps, primes)]
 
 
+def _packed_size(n: int) -> int:
+    """Entries per prime of the packed lower triangle: row block i of
+    ``_DET_PANEL`` rows holds columns 0 .. min(b (i + 1), n)."""
+    b = _DET_PANEL
+    return sum((min(r0 + b, n) - r0) * min(r0 + b, n) for r0 in range(0, n, b))
+
+
+def _det_mod_stack_symmetric(
+    m: np.ndarray, primes: list[int], stack: np.ndarray | None = None
+) -> list[int | None]:
+    """det m mod p for each prime, for symmetric m: blocked LDL^T with no
+    row swaps over the packed lower triangle, one prime per row of a
+    float32 stack of ``_packed_size(n)`` entries each, held in ``stack``
+    when given.
+
+    Row block i of the packed layout holds columns 0 .. min(b (i + 1), n),
+    b = ``_DET_PANEL``, so each b x b diagonal block is stored in full.
+    Per panel, Gauss-Jordan in float64 inverts the diagonal block A11 in
+    place, its pivots being those of the elimination; X = A11^-1 A21^T,
+    and each later row block takes the Schur complement A22 - A21 X from
+    column j1 up to its own diagonal, which keeps the trailing matrix
+    symmetric.  With no swaps a zero pivot cannot be avoided: the residue
+    of that prime comes back as None, for the general ``_det_mod_stack``
+    to recompute.
+
+    Exactness is argued as in ``_det_mod_stack``: the in-place Gauss-Jordan
+    forms at most w - 1 products of reduced factors between two reductions
+    of an entry, X and the trailing update w, both checked against 2**53.
+    """
+    n = m.shape[0]
+    top = max(primes)
+    if top >= 1 << _FLOAT32_BITS:
+        raise AssertionError("prime too wide for exact float32 storage")
+    count = len(primes)
+    if stack is None:
+        stack = np.empty((count, _packed_size(n)), dtype=np.float32)
+    moduli = np.array(primes, dtype=np.int64)[:, None, None]
+    blocks = []
+    offset = 0
+    for r0 in range(0, n, _DET_PANEL):
+        r1 = min(r0 + _DET_PANEL, n)
+        block = stack[:count, offset : offset + (r1 - r0) * r1].reshape(count, r1 - r0, r1)
+        np.remainder(m[r0:r1, :r1], moduli, out=block, casting="unsafe")
+        blocks.append(block)
+        offset += (r1 - r0) * r1
+    p = np.array(primes, dtype=np.float64)[:, None, None]
+    p_inv = 1.0 / p
+    failed = np.zeros(count, dtype=bool)
+    diagonal = np.empty((count, n))
+    for j, block in enumerate(blocks):
+        j0 = j * _DET_PANEL
+        j1 = block.shape[2]
+        w = j1 - j0
+        _check_float64_sums(w - 1, top)
+        g = block[:, :, j0:j1].astype(np.float64)
+        for t in range(w):
+            column = g[:, :, t].copy()
+            _reduce(column, p[:, 0], p_inv[:, 0])
+            pivots = column[:, t].tolist()
+            diagonal[:, j0 + t] = pivots
+            if not all(pivots):
+                failed |= column[:, t] == 0
+            column[:, t] = 0
+            g[:, :, t] = 0
+            g[:, t, t] = 1
+            row = g[:, t, :]
+            _reduce(row, p[:, 0], p_inv[:, 0])
+            row *= np.array([pow(int(v), -1, q) if v else 0 for v, q in zip(pivots, primes)])[:, None]
+            _reduce(row, p[:, 0], p_inv[:, 0])
+            g -= column[:, :, None] * row[:, None, :]
+        if j1 == n:
+            break
+        _check_float64_sums(w, top)
+        _reduce(g, p, p_inv)
+        below = np.concatenate([b[:, :, j0:j1] for b in blocks[j + 1 :]], axis=1, dtype=np.float64)
+        x = np.matmul(g, below.transpose(0, 2, 1))
+        _reduce(x, p, p_inv)
+        for b in blocks[j + 1 :]:
+            r1 = b.shape[2]
+            c = np.matmul(below[:, r1 - b.shape[1] - j1 : r1 - j1], x[:, :, : r1 - j1])
+            np.subtract(b[:, :, j1:], c, out=c)
+            _reduce(c, p, p_inv)
+            b[:, :, j1:] = c
+    residues = diagonal.astype(np.int64).tolist()
+    return [None if bad else math.prod(d) % q for d, bad, q in zip(residues, failed, primes)]
+
+
+def _stacked_residues(routine, m: np.ndarray, primes: list[int], layer: tuple, charge: int) -> list:
+    """``routine`` over batches of ``primes``, in one float32 stack of
+    ``layer``-shaped layers sized so that ``charge`` bytes per prime fit
+    ``_DET_STACK_BYTES``, allocated once and reused for every batch."""
+    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // charge))
+    stack = np.empty((per_stack, *layer), dtype=np.float32)
+    residues = []
+    for start in range(0, len(primes), per_stack):
+        residues += routine(m, primes[start : start + per_stack], stack)
+    return residues
+
+
+def _det_residues(m: np.ndarray, primes: list[int]) -> list[int]:
+    """det m mod p for each prime.  Symmetric int64 input takes the packed
+    symmetric LU; the primes it leaves without a pivot, and every prime of
+    other input, take the general LU.  Each runs in its own stack, the
+    packed one freed before the general one is allocated."""
+    n = m.shape[0]
+    temporaries = 40 * _DET_PANEL * n  # bytes per prime of float64 panels and update blocks
+    residues: list = [None] * len(primes)
+    if m.dtype != object and _is_symmetric(m):
+        size = _packed_size(n)
+        residues = _stacked_residues(_det_mod_stack_symmetric, m, primes, (size,), 4 * size + temporaries)
+    failed = [q for q, r in zip(primes, residues) if r is None]
+    if failed:
+        redone = iter(_stacked_residues(_det_mod_stack, m, failed, (n, n), 4 * n * n + temporaries))
+        residues = [next(redone) if r is None else r for r in residues]
+    return residues
+
+
 def integer_determinant(matrix) -> int:
     """Exact determinant: blocked modular LU on float32 stacks of primes,
-    then CRT against the Hadamard row-norm bound."""
+    packed to the lower triangle for symmetric input, then CRT against the
+    Hadamard row-norm bound."""
     m = _as_square_int_matrix(matrix)
     n = m.shape[0]
     if n == 0:
@@ -491,12 +616,7 @@ def integer_determinant(matrix) -> int:
         bits += 0.5 * math.log2(max(1, norm_sq))
     width = min(_FLOAT32_BITS, _prime_width(_DET_PANEL, _FLOAT64_BITS))
     primes = _prime_batch(bits + 1, width)
-    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // (4 * n * n + 40 * _DET_PANEL * n)))
-    stack = np.empty((per_stack, n, n), dtype=np.float32)
-    residues = []
-    for start in range(0, len(primes), per_stack):
-        residues += _det_mod_stack(m, primes[start : start + per_stack], stack)
-    return _crt_columns(np.array(residues, dtype=np.int64)[:, None], primes)[0]
+    return _crt_columns(np.array(_det_residues(m, primes), dtype=np.int64)[:, None], primes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +624,15 @@ def integer_determinant(matrix) -> int:
 
 
 def _is_graph_laplacian(m: np.ndarray) -> bool:
-    """Symmetric, off-diagonal entries in {0, -1}, zero row sums."""
-    if m.dtype == object:
+    """Symmetric, off-diagonal entries in {0, -1}, zero row sums.  Entries
+    above 0 or below -1 are counted and must all lie on the diagonal, so no
+    N x N integer copy is made."""
+    if m.dtype == object or not _is_symmetric(m):
         return False
-    off = m.copy()
-    np.fill_diagonal(off, 0)
+    diagonal = np.diagonal(m)
     return bool(
-        np.array_equal(m, m.T)
-        and off.min(initial=0) >= -1
-        and off.max(initial=0) <= 0
+        np.count_nonzero(m > 0) == np.count_nonzero(diagonal > 0)
+        and np.count_nonzero(m < -1) == np.count_nonzero(diagonal < -1)
         and not m.sum(axis=1).any()
     )
 

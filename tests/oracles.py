@@ -7,15 +7,16 @@ super-graph lifts, Fraction-based and fraction-free (Bareiss) elimination
 for rank, the spectrum read off kernel dimensions, schoolbook products of
 integer polynomials, per-prime int64 and Bareiss elimination for
 determinants, the per-element group queries and pair-loop composition that
-the library's whole-table versions replaced, and the edge-counting product
+the library's whole-table versions replaced, the edge-counting product
 lift and all-conjugators class scan that its boolean OR-reduction lift and
-generator-orbit classes replaced.
+generator-orbit classes replaced, and the structural graph as a composition
+of cliques relabelled afterwards, which its one-gather build replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -30,8 +31,11 @@ from superspectra import (
     SimpleGraph,
     SpectrumMultiset,
     char_poly,
+    complete,
+    compose,
     element_order,
 )
+from superspectra.compose import _structural_layout
 
 
 def naive_char_poly(matrix) -> tuple[int, ...]:
@@ -568,3 +572,15 @@ def compose_pairwise(spec: CompositionSpec) -> SimpleGraph:
                 adj[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = True
                 adj[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = True
     return SimpleGraph(adj)
+
+
+def structural_graph_by_composition(kind: str, family: str, n: int) -> np.ndarray:
+    """Adjacency of the structural graph as the composition of its clique
+    parts laid out consecutively, then relabelled onto the canonical
+    indexing by a second N x N gather."""
+    outer, parts = _structural_layout(kind, family, n)
+    composed = compose(CompositionSpec(outer=outer, parts=tuple(complete(len(p)) for p in parts)))
+    perm = np.fromiter(chain.from_iterable(parts), dtype=np.int64)
+    position = np.empty_like(perm)  # composed vertex of each canonical index
+    position[perm] = np.arange(perm.size)
+    return composed.adjacency[position][:, position]

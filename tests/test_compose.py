@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from superspectra import (
     union,
 )
 
-from oracles import component_count, compose_pairwise
+from oracles import component_count, compose_pairwise, structural_graph_by_composition
 
 STRUCTURAL_SWEEP = (
     [(CSEP, DIHEDRAL, n) for n in range(3, 13)]
@@ -33,6 +35,9 @@ STRUCTURAL_SWEEP = (
     + [(CSEP, SEMIDIHEDRAL, n) for n in range(2, 8)]
     + [(CSCOM, SEMIDIHEDRAL, n) for n in range(2, 8)]
 )
+# the four structural builds of the order-2000 build benchmark
+ORDER_2000 = [(CSEP, DIHEDRAL, 1000), (CSEP, QUATERNION, 500), (CSEP, SEMIDIHEDRAL, 250),
+              (CSCOM, SEMIDIHEDRAL, 250)]
 
 
 class TestAlgebra:
@@ -189,6 +194,27 @@ class TestStructuralGraph:
         degrees = sorted(g.degrees().tolist())
         # 4 universal centrals, 8 rotations seeing 8+3 others, 12 reflections seeing 12+3
         assert degrees == [11] * 8 + [15] * 12 + [23] * 4
+
+    @pytest.mark.parametrize("kind,family,n", STRUCTURAL_SWEEP + ORDER_2000)
+    def test_matches_composition_then_relabelling(self, kind, family, n):
+        # one gather at each canonical vertex's part gives the very array
+        # the composition and its relabelling gave
+        adj = structural_graph(kind, family, n).adjacency
+        expected = structural_graph_by_composition(kind, family, n)
+        assert adj.dtype == expected.dtype and adj.strides == expected.strides
+        assert np.array_equal(adj, expected)
+
+    @pytest.mark.parametrize("kind,family,n", ORDER_2000)
+    def test_memory_peak(self, kind, family, n):
+        # one N x N array and the N x k gather it is taken from; the
+        # composition and its relabelling peaked at 3.15 N^2
+        tracemalloc.start()
+        try:
+            structural_graph(kind, family, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2000**2, peak / 2000**2
 
     @pytest.mark.parametrize("kind,family,n", STRUCTURAL_SWEEP)
     def test_matches_group_theoretic_build(self, kind, family, n):

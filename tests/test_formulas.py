@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from superspectra import formulas, spectral
-from superspectra.cli import THREADS_ENV, main
+from superspectra.cli import THREADS_ENV, build_parser, main
 from superspectra import (
     CSCOM,
     CSEP,
@@ -190,6 +190,21 @@ class TestWorkerClamp:
         monkeypatch.setenv(THREADS_ENV, "100000")
         assert main(["verify", "--kind", "csep", "--family", "q4n", "--range", "2..3"]) == 0
         assert RecordingPool.requested == [2, 2]
+
+    def test_environment_is_read_on_every_call(self, monkeypatch):
+        # the parser is built once per process, but --threads takes its
+        # default from the environment each time verify runs
+        argv = ["verify", "--kind", "csep", "--family", "q4n", "--range", "2..3"]
+        monkeypatch.setenv(THREADS_ENV, "1")
+        assert main(argv) == 0
+        assert RecordingPool.requested == []
+        monkeypatch.setenv(THREADS_ENV, "2")
+        assert main(argv) == 0
+        assert RecordingPool.requested == [2]
+        monkeypatch.delenv(THREADS_ENV)
+        assert main(argv) == 0
+        assert RecordingPool.requested == [2]
+        assert build_parser() is build_parser()
 
 
 HUGE = 10**5000 + 1

@@ -31,6 +31,10 @@ from superspectra import spectral
 from superspectra.spectral import (
     _DET_PANEL,
     _det_mod_stack,
+    _det_mod_stack_symmetric,
+    _det_residues,
+    _is_graph_laplacian,
+    _packed_size,
     _prime_batch,
     _prime_width,
     _square_norms,
@@ -490,30 +494,64 @@ def stack_bytes(n, per_stack):
     return (4 * n * n + 40 * _DET_PANEL * n) * per_stack
 
 
+def packed_stack_bytes(n, per_stack):
+    """The same for the packed stack of the symmetric LU."""
+    return (4 * _packed_size(n) + 40 * _DET_PANEL * n) * per_stack
+
+
+def record_routines(monkeypatch):
+    """Spy on both stack routines: the primes each was given, by
+    ``symmetric`` and ``general``, the size of every batch and the stacks
+    the batches ran in."""
+    seen = {"symmetric": [], "general": [], "batches": [], "stacks": set()}
+
+    def spy(name, routine):
+        def run(matrix, primes, stack):
+            seen[name].extend(primes)
+            seen["batches"].append(len(primes))
+            seen["stacks"].add((name, id(stack)))
+            return routine(matrix, primes, stack)
+
+        return run
+
+    monkeypatch.setattr(spectral, "_det_mod_stack_symmetric", spy("symmetric", _det_mod_stack_symmetric))
+    monkeypatch.setattr(spectral, "_det_mod_stack", spy("general", _det_mod_stack))
+    return seen
+
+
+def symmetric(rng, n, spread):
+    a = rng.integers(-spread, spread + 1, size=(n, n))
+    return np.tril(a) + np.tril(a, -1).T
+
+
+# Kirchhoff minors of order 127 and 199
+COFACTOR_MEMORY_CASES = [(SEMIDIHEDRAL, 16, "commuting", "conjugacy"), (DIHEDRAL, 100, "enhanced", "equality")]
+
+
 class TestKirchhoffLU:
     """The Kirchhoff cofactor runs a blocked modular LU on float32 stacks of
-    primes.  Storage is exact while p < 2**24, and the float64 arithmetic
-    while k * (p - 1)**2 + p < 2**53, k the longest sum of products it forms
+    primes, packed to the lower triangle for symmetric input.  Storage is
+    exact while p < 2**24, and the float64 arithmetic while
+    k * (p - 1)**2 + p < 2**53, k the longest sum of products it forms
     between two reductions."""
 
     def test_float64_width_edge(self, monkeypatch):
         # sums of _DET_PANEL = 16 products fit 24-bit primes, with room up
-        # to 32; the cofactor takes 24-bit primes at every order
+        # to 32; the cofactor takes 24-bit primes at every order, on both LUs
         assert _DET_PANEL == 16
         assert _prime_width(16, 53) == _prime_width(32, 53) == 24
         assert _prime_width(33, 53) == 23
         assert _prime_width(2, 53) == 26 and _prime_width(3, 53) == 25
         top = max(_prime_batch(200, 24))
         assert 16 * (top - 1) ** 2 + top < 1 << 53
-        seen = []
-
-        def spy(matrix, primes, stack):
-            seen.extend(primes)
-            return _det_mod_stack(matrix, primes, stack)
-
-        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
-        integer_determinant(np.eye(300, dtype=np.int64) * 7)
-        assert seen and all(1 << 23 < q < 1 << 24 for q in seen)
+        seen = record_routines(monkeypatch)
+        diagonal = np.eye(300, dtype=np.int64) * 7
+        assert integer_determinant(diagonal) == 7**300
+        assert seen["symmetric"] and not seen["general"]
+        upper = diagonal + np.triu(np.ones((300, 300), dtype=np.int64), 1)
+        assert integer_determinant(upper) == 7**300
+        assert seen["general"]
+        assert all(1 << 23 < q < 1 << 24 for q in seen["symmetric"] + seen["general"])
         # with float32 storage out of the way, the first prime past
         # 16 * (p - 1)**2 + p < 2**53 is refused by the float64 check
         _, past = edge_primes(16, 53)
@@ -522,14 +560,19 @@ class TestKirchhoffLU:
         m = np.random.default_rng(1).integers(-9, 10, size=(20, 20))
         with pytest.raises(AssertionError, match="float64"):
             _det_mod_stack(m, [past])
+        with pytest.raises(AssertionError, match="float64"):
+            _det_mod_stack_symmetric(m + m.T, [past])
 
     def test_too_wide_prime_is_refused(self):
         m = np.random.default_rng(2).integers(-9, 10, size=(20, 20))
         widest = max(_prime_batch(30, 24))
         assert _det_mod_stack(m, [widest]) == [det_mod(m % widest, widest)]
+        assert _det_mod_stack_symmetric(m + m.T, [widest]) == [det_mod((m + m.T) % widest, widest)]
         above = next(q for q in range(1 << 24, 1 << 25) if is_prime(q))
         with pytest.raises(AssertionError, match="float32"):
             _det_mod_stack(m, [above])
+        with pytest.raises(AssertionError, match="float32"):
+            _det_mod_stack_symmetric(m + m.T, [above])
 
     @pytest.mark.parametrize("n", [2, 5, 8, 9, 15, 16, 17, 33, 70])
     def test_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
@@ -546,6 +589,36 @@ class TestKirchhoffLU:
         assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
         with pytest.raises(AssertionError, match="float64"):
             _det_mod_stack(m, [past])
+
+    @pytest.mark.parametrize("n", [2, 5, 15, 16, 17, 33, 70])
+    def test_symmetric_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
+        # the packed LU forms the same longest sums: n - 1 in the
+        # Gauss-Jordan inversion of a lone panel, _DET_PANEL in X = A11^-1
+        # A21^T and in the trailing update
+        longest = min(n - 1, _DET_PANEL)
+        monkeypatch.setattr(spectral, "_FLOAT64_BITS", 40)
+        fits, past = edge_primes(longest, 40)
+        assert (longest - 1) * (past - 1) ** 2 + past < 1 << 40
+        m = symmetric(np.random.default_rng(n), n, 9)
+        primes = [fits] + _prime_batch(60, 16)
+        assert _det_mod_stack_symmetric(m, primes) == [det_mod(m % p, p) for p in primes]
+        with pytest.raises(AssertionError, match="float64"):
+            _det_mod_stack_symmetric(m, [past])
+
+    def test_zero_pivot_is_recomputed_by_the_general_lu(self, monkeypatch):
+        # (0, 0) is 0 mod the second prime alone, which the symmetric LU
+        # cannot pivot around; the general LU recomputes that prime only
+        primes = _prime_batch(80, 24)[:4]
+        m = symmetric(np.random.default_rng(11), 40, 50)
+        m[0, 0] = 3 * primes[1]
+        assert [m[0, 0] % q == 0 for q in primes] == [False, True, False, False]
+        assert [r is None for r in _det_mod_stack_symmetric(m, primes)] == [False, True, False, False]
+        seen = record_routines(monkeypatch)
+        assert _det_residues(m, primes) == [det_mod(m % q, q) for q in primes]
+        assert seen["symmetric"] == primes and seen["general"] == [primes[1]]
+        seen["general"].clear()
+        assert integer_determinant(m) == bareiss_determinant(m)
+        assert seen["general"] == [primes[1]]
 
     def test_anti_diagonal_permutation(self):
         for n in (7, 40):
@@ -582,37 +655,43 @@ class TestKirchhoffLU:
         n = 12
         p1, p2 = _prime_batch(60, 24)[:2]
         m = np.diag([p1, p2] + [1] * (n - 2))
-        seen = []
-
-        def spy(matrix, primes, stack):
-            seen.extend(primes)
-            return _det_mod_stack(matrix, primes, stack)
-
-        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
+        seen = record_routines(monkeypatch)
         assert integer_determinant(m) == p1 * p2
-        assert seen[:2] == [p1, p2] and len(seen) == 3
-        assert _det_mod_stack(m, seen) == [0, 0, p1 * p2 % seen[2]]
+        # p1 and p2 leave zero pivots, so the symmetric LU hands them to the
+        # general one, which finds no pivot in their columns either
+        assert seen["symmetric"][:2] == [p1, p2] and len(seen["symmetric"]) == 3
+        assert seen["general"] == [p1, p2]
+        third = seen["symmetric"][2]
+        assert _det_mod_stack_symmetric(m, seen["symmetric"]) == [None, None, p1 * p2 % third]
+        assert _det_mod_stack(m, seen["symmetric"]) == [0, 0, p1 * p2 % third]
+        # the same determinant without symmetry runs the general LU alone
+        seen["symmetric"].clear()
+        seen["general"].clear()
+        m[0, 1] = 5
+        assert integer_determinant(m) == p1 * p2
+        assert not seen["symmetric"] and len(seen["general"]) == 3
+
+    @staticmethod
+    def check_batches(routine, m, budget, monkeypatch):
+        seen = record_routines(monkeypatch)
+        for per_stack in (1, 3):
+            seen["batches"].clear()
+            seen["stacks"].clear()
+            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", budget(40, per_stack))
+            assert integer_determinant(m) == bareiss_determinant(m)
+            sizes = seen["batches"]
+            assert set(sizes[:-1]) == {per_stack}
+            # one stack per call, reused for every batch, and no other LU
+            assert len(seen["stacks"]) == 1 and seen["stacks"].pop()[0] == routine
+        assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
 
     def test_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
         m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
-        sizes = []
-        stacks = set()
+        self.check_batches("general", m, stack_bytes, monkeypatch)
 
-        def spy(matrix, primes, stack):
-            sizes.append(len(primes))
-            stacks.add(id(stack))
-            return _det_mod_stack(matrix, primes, stack)
-
-        monkeypatch.setattr(spectral, "_det_mod_stack", spy)
-        for per_stack in (1, 3):
-            sizes.clear()
-            stacks.clear()
-            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", stack_bytes(40, per_stack))
-            assert integer_determinant(m) == bareiss_determinant(m)
-            assert set(sizes[:-1]) == {per_stack}
-            # one stack per call, reused for every batch
-            assert len(stacks) == 1
-        assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
+    def test_symmetric_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
+        m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
+        self.check_batches("symmetric", m + m.T, packed_stack_bytes, monkeypatch)
 
     def test_object_entries_beyond_int64(self):
         m = np.array([[2**70, 3], [5, 2**65 + 1]], dtype=object)
@@ -633,22 +712,39 @@ class TestKirchhoffLU:
         graph = named_super_graph(build_group(DIHEDRAL, 100), "enhanced", "equality")
         assert spanning_tree_count(graph, method="both") > 0
 
-    @pytest.mark.parametrize(
-        "family,n,base,relation",
-        [(SEMIDIHEDRAL, 16, "commuting", "conjugacy"), (DIHEDRAL, 100, "enhanced", "equality")],
-    )
-    def test_memory_peak(self, family, n, base, relation):
-        # the stack and its float64 temporaries stay within _DET_STACK_BYTES;
-        # the int64 input is read in place, not copied
+    @staticmethod
+    def check_peak(family, n, base, relation, recompute, monkeypatch):
         minor = laplacian(named_super_graph(build_group(family, n), base, relation))[1:, 1:]
+        changed = minor.copy()
+        first = _prime_batch(30, 24)[0]
+        if recompute:
+            changed[0, 0] = first
+        seen = record_routines(monkeypatch)
         tracemalloc.start()
         try:
-            trees = integer_determinant(minor)
+            det = integer_determinant(changed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert trees > 0
         assert peak <= spectral._DET_STACK_BYTES, peak
+        assert seen["symmetric"] and seen["general"] == ([first] if recompute else [])
+        # expansion along the changed entry
+        delta = int(changed[0, 0] - minor[0, 0])
+        expected = integer_determinant(minor) + delta * integer_determinant(minor[1:, 1:])
+        assert det == expected and det > 0
+
+    @pytest.mark.parametrize("family,n,base,relation", COFACTOR_MEMORY_CASES)
+    def test_memory_peak(self, family, n, base, relation, monkeypatch):
+        # the packed stack and its float64 temporaries stay within
+        # _DET_STACK_BYTES; the int64 input is read in place, not copied
+        self.check_peak(family, n, base, relation, False, monkeypatch)
+
+    @pytest.mark.parametrize("family,n,base,relation", COFACTOR_MEMORY_CASES)
+    def test_memory_peak_with_a_prime_recomputed(self, family, n, base, relation, monkeypatch):
+        # (0, 0) is set to the first prime of the batch, which the general
+        # LU then recomputes in its own stack, allocated once the packed
+        # one is freed
+        self.check_peak(family, n, base, relation, True, monkeypatch)
 
 
 @settings(max_examples=40, deadline=None)
@@ -673,6 +769,52 @@ def test_kirchhoff_lu_matches_oracles(n, seed, spread, zeros, dependent, per_sta
     assert _det_mod_stack(m, primes[:1]) == [det_mod(m % primes[0], primes[0])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_DET_STACK_BYTES", stack_bytes(n, per_stack))
+        assert integer_determinant(m) == bareiss_determinant(m)
+
+
+def laplacian_minor(rng, n):
+    """Reduced Laplacian of a random graph on n + 1 vertices."""
+    adj = np.triu(rng.random((n + 1, n + 1)) < rng.random(), 1)
+    adj = adj | adj.T
+    return (np.diag(adj.sum(axis=1)) - adj)[1:, 1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=70),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["symmetric", "gram", "singular", "laplacian"]),
+    spread=st.sampled_from([1, 7, 1000, 2**30]),
+    narrow=st.booleans(),
+    per_stack=st.sampled_from([1, 2, 3, 5]),
+)
+@example(n=70, seed=1, kind="laplacian", spread=1, narrow=False, per_stack=3)
+@example(n=70, seed=2, kind="symmetric", spread=2**30, narrow=False, per_stack=1)
+@example(n=70, seed=3, kind="gram", spread=1, narrow=True, per_stack=2)
+def test_symmetric_kirchhoff_lu_matches_oracles(n, seed, kind, spread, narrow, per_stack):
+    rng = np.random.default_rng(seed)
+    if kind == "gram":
+        # B B^T of rank up to n, singular when B has fewer columns than rows
+        b = rng.integers(-7, 8, size=(n, int(rng.integers(1, n + 1))))
+        m = b @ b.T
+    elif kind == "laplacian":
+        m = laplacian_minor(rng, n)
+    else:
+        m = symmetric(rng, n, spread)
+        if kind == "singular" and n > 1:
+            r = int(rng.integers(1, n))
+            m[r] = m[0]
+            m[:, r] = m[:, 0]
+    # primes near 100 meet zero pivots often, so the recompute path runs
+    primes = [101, 103, 107, 109, 113] if narrow else _prime_batch(30 * n, 24)
+    expected = [det_mod(m % p, p) for p in primes]
+    # the symmetric LU alone is exact on every prime it keeps, and the
+    # general LU completes the rest
+    packed = _det_mod_stack_symmetric(m, primes)
+    assert all(r is None or r == e for r, e in zip(packed, expected))
+    assert _det_residues(m, primes) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_DET_STACK_BYTES", packed_stack_bytes(n, per_stack))
         assert integer_determinant(m) == bareiss_determinant(m)
 
 
@@ -713,6 +855,22 @@ class TestTwinQuotient:
             assert quotient is m and twins == []
         asymmetric = np.array([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
         assert _twin_quotient(asymmetric)[0] is asymmetric
+
+    @pytest.mark.parametrize(
+        "m,is_laplacian",
+        [
+            ([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]], True),
+            ([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], False),  # asymmetric
+            ([[0, 1, -1], [1, 0, -1], [-1, -1, 2]], False),  # +1 off the diagonal
+            ([[2, -2], [-2, 2]], False),  # -2 off the diagonal
+            ([[1, -1, 0], [-1, 1, 0], [0, 0, 1]], False),  # a nonzero row sum
+        ],
+    )
+    def test_graph_laplacian_refusals(self, m, is_laplacian):
+        m = np.array(m, dtype=np.int64)
+        assert _is_graph_laplacian(m) is is_laplacian
+        if not is_laplacian:
+            assert _twin_quotient(m)[0] is m
 
     def test_complete_graph(self):
         quotient, twins = _twin_quotient(laplacian(complete(6)))
