@@ -32,18 +32,25 @@ time: p < 2**24, below which float32 holds every residue exactly, and
 widths come from one selector with an int64 budget (63 bits) for the char
 poly and a float64 budget (53 bits) for the cofactor.
 
-The spectrum and the eigenvalue tree count first reduce a matrix along its
-twin classes.  A matrix counts as a graph Laplacian when it is symmetric,
-its off-diagonal entries lie in {0, -1} and its rows sum to zero.  Its
-closed twins (N[u] = N[v]) and open twins (N(u) = N(v)) then form an
-equitable partition, so the spectrum is that of a k x k integer quotient
-plus s - 1 copies of deg + 1 (closed) or deg (open) for each twin class of
-size s.  The lifts of this package are compositions of cliques, so k stays
-small however large the group.  Every other matrix, and a Laplacian with
-no twins, is its own quotient.  The reduction is certified by its trace:
-tr Q + sum (s - 1) * eigenvalue must equal tr M exactly.  ``char_poly``
-and the Kirchhoff cofactor always work on the full matrix, as the
-independent paths the quotient is checked against.
+The spectrum and the eigenvalue tree count first reduce a graph Laplacian
+along its twin classes.  Its closed twins (N[u] = N[v]) and open twins
+(N(u) = N(v)) form an equitable partition, so the spectrum is that of a
+k x k integer quotient plus s - 1 copies of deg + 1 (closed) or deg (open)
+for each twin class of size s.  The lifts of this package are compositions
+of cliques, so k stays small however large the group.  Graph input
+(``analyze``, the eigenvalue tree count) is reduced straight from its bool
+adjacency and its degrees, bit-packed rows giving both kinds of twins; the
+N x N int64 Laplacian is built only for a graph with no twins, whose full
+Laplacian is its own quotient, and for the Kirchhoff cofactor.  Matrix
+input (``integral_spectrum``) counts as a graph Laplacian when it is
+symmetric, its off-diagonal entries lie in {0, -1} and its rows sum to
+zero, and then takes the same reduction through its -1 entries and its
+diagonal; every other matrix is its own quotient.  The reduction is
+certified by its dimension and its trace: tr Q + sum (s - 1) * eigenvalue
+must equal the degree sum exactly.  ``char_poly`` and the Kirchhoff
+cofactor always work on the matrix they are given, as the independent
+paths the quotient is checked against, and ``char_poly`` checks its
+reconstruction against one prime outside its CRT batch.
 
 No rounded floating point enters any certified result: the Kirchhoff LU
 uses float32 and float64 only as integer arithmetic inside the asserted
@@ -200,9 +207,11 @@ def _mod_reduce(matrix: np.ndarray, p: int) -> np.ndarray:
 
 
 def laplacian(graph: SimpleGraph) -> np.ndarray:
-    """Degree matrix minus adjacency matrix, as int64."""
-    a = graph.adjacency.astype(np.int64)
-    lap = np.diag(a.sum(axis=1)) - a
+    """Degree matrix minus adjacency matrix, as int64: one N x N array, the
+    adjacency cast and negated in place, degrees written to its diagonal."""
+    lap = graph.adjacency.astype(np.int64)
+    np.negative(lap, out=lap)
+    lap[np.diag_indices_from(lap)] = graph.degrees()
     return lap
 
 
@@ -350,21 +359,36 @@ def _crt_columns(residues: np.ndarray, primes: list[int]) -> list[int]:
     return out
 
 
+def _charpoly_mod(m: np.ndarray, p: int) -> np.ndarray:
+    """det(xI - M) mod p, N + 1 coefficients low-to-high."""
+    h = _mod_reduce(m, p)
+    _hessenberg_inplace(h, p)
+    return _hessenberg_charpoly(h, p)
+
+
 def char_poly(matrix) -> IntegerPolynomial:
-    """Exact det(xI - M) for a square integer matrix."""
+    """Exact det(xI - M) for a square integer matrix.
+
+    The coefficients are reconstructed from a batch of primes, then reduced
+    mod the next prime of the same width, outside the batch, and compared
+    with that prime's own residues: a wrong residue anywhere in the batch
+    fails the comparison, even when its reconstruction stays in bound."""
     m = _as_square_int_matrix(matrix)
     n = m.shape[0]
     if n == 0:
         return IntegerPolynomial((1,))
-    primes = _prime_batch(_charpoly_coeff_bits(m) + 1, _prime_width(n))
+    width = _prime_width(n)
+    primes = _prime_batch(_charpoly_coeff_bits(m) + 1, width)
     residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for i, p in enumerate(primes):
-        h = _mod_reduce(m, p)
-        _hessenberg_inplace(h, p)
-        residues[i] = _hessenberg_charpoly(h, p)
-    poly = IntegerPolynomial(tuple(_crt_columns(residues, primes)))
+        residues[i] = _charpoly_mod(m, p)
+    coefficients = _crt_columns(residues, primes)
+    poly = IntegerPolynomial(tuple(coefficients))
     if poly.degree != n or not poly.is_monic:
         raise AssertionError("characteristic polynomial reconstruction out of bound")
+    check = _ensure_primes(width, len(primes) + 1)[len(primes)]
+    if [c % check for c in coefficients] != _charpoly_mod(m, check).tolist():
+        raise AssertionError("characteristic polynomial fails its extra-prime certificate")
     return poly
 
 
@@ -637,36 +661,41 @@ def _is_graph_laplacian(m: np.ndarray) -> bool:
     )
 
 
-def _twin_classes(rows: np.ndarray) -> list[list[int]]:
-    """Indices of identical boolean rows, in classes of two or more."""
+def _twin_classes(packed: np.ndarray) -> list[list[int]]:
+    """Indices of identical bit-packed rows, in classes of two or more."""
     classes: dict[bytes, list[int]] = {}
-    for v, packed in enumerate(np.packbits(rows, axis=1)):
-        classes.setdefault(packed.tobytes(), []).append(v)
+    for v, row in enumerate(packed):
+        classes.setdefault(row.tobytes(), []).append(v)
     return [c for c in classes.values() if len(c) > 1]
 
 
-def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduce a graph Laplacian along its closed- and open-twin classes.
+def _quotient_by_twins(
+    adj: np.ndarray, degrees: np.ndarray
+) -> tuple[np.ndarray | None, list[tuple[int, int]]]:
+    """Reduce the Laplacian of a graph, given by its bool adjacency and its
+    degrees, along its closed- and open-twin classes.
 
     Returns the quotient Q and the (eigenvalue, multiplicity) pairs the
-    classes split off.  A class of size s carries s - 1 eigenvectors that
-    live on it and sum to zero there, with eigenvalue deg + 1 (closed twins,
-    a clique) or deg (open twins, an independent set).  The remaining k
-    eigenvalues are those of Q, indexed by one representative per class:
-    its degree less its in-class neighbours on the diagonal, minus the size
-    of each adjacent class off it.  No vertex has both a closed and an open
-    twin, so the classes are disjoint.  Input that is not a graph Laplacian,
-    or has no twins, is returned as its own quotient.
+    classes split off, or (None, []) when there are no twins.  A class of
+    size s carries s - 1 eigenvectors that live on it and sum to zero
+    there, with eigenvalue deg + 1 (closed twins, a clique) or deg (open
+    twins, an independent set).  The remaining k eigenvalues are those of
+    Q, indexed by one representative per class: its degree less its
+    in-class neighbours on the diagonal, minus the size of each adjacent
+    class off it.  No vertex has both a closed and an open twin, so the
+    classes are disjoint.  The closed neighbourhoods are the bit-packed
+    rows with each vertex's own bit set, so no N x N array is made.
     """
-    n = m.shape[0]
-    if not _is_graph_laplacian(m):
-        return m, []
-    adj = m == -1
-    closed = _twin_classes(adj | np.eye(n, dtype=bool))
-    open_ = _twin_classes(adj)
+    n = adj.shape[0]
+    # a symmetric adjacency equals its transpose: pack along the contiguous axis
+    packed = np.packbits(adj.T if adj.flags.f_contiguous else adj, axis=1)
+    closed_rows = packed.copy()
+    v = np.arange(n)
+    closed_rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
+    closed = _twin_classes(closed_rows)
+    open_ = _twin_classes(packed)
     if not closed and not open_:
-        return m, []
-    degrees = np.diagonal(m)
+        return None, []
     keep = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     inner = np.zeros(n, dtype=np.int64)
@@ -683,18 +712,41 @@ def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return quotient, twins
 
 
-def _reduced_char_poly(m: np.ndarray) -> tuple[IntegerPolynomial, list[tuple[int, int]]]:
-    """char poly of the twin quotient of ``m`` and the twin pairs, checked
-    against ``m`` by dimension and trace."""
-    quotient, twins = _twin_quotient(m)
+def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """``_quotient_by_twins`` for a matrix that passes the graph-Laplacian
+    test, read through its -1 entries and its diagonal.  Input that is not
+    a graph Laplacian, or has no twins, is returned as its own quotient."""
+    if not _is_graph_laplacian(m):
+        return m, []
+    quotient, twins = _quotient_by_twins(m == -1, np.diagonal(m))
+    return (m, []) if quotient is None else (quotient, twins)
+
+
+def _checked_char_poly(
+    quotient: np.ndarray, twins: list[tuple[int, int]], n: int, trace: int
+) -> IntegerPolynomial:
+    """char poly of a twin quotient, checked against the order n and the
+    trace of the Laplacian it reduces."""
     poly = char_poly(quotient)
-    trace = -poly.coefficients[-2] if poly.degree >= 1 else 0
+    quotient_trace = -poly.coefficients[-2] if poly.degree >= 1 else 0
     if (
-        poly.degree + sum(mult for _, mult in twins) != m.shape[0]
-        or trace + sum(value * mult for value, mult in twins) != int(np.trace(m))
+        poly.degree + sum(mult for _, mult in twins) != n
+        or quotient_trace + sum(value * mult for value, mult in twins) != trace
     ):
         raise AssertionError("twin quotient fails the dimension or trace identity")
-    return poly, twins
+    return poly
+
+
+def _graph_char_poly(graph: SimpleGraph) -> tuple[IntegerPolynomial, list[tuple[int, int]]]:
+    """char poly of the twin quotient of a graph's Laplacian and the twin
+    pairs, read from the adjacency and the degrees.  ``SimpleGraph`` is
+    bool, symmetric and loop-free, so no Laplacian test is needed, and the
+    int64 Laplacian is built only when there are no twins."""
+    degrees = graph.degrees()
+    quotient, twins = _quotient_by_twins(graph.adjacency, degrees)
+    if quotient is None:
+        quotient = laplacian(graph)
+    return _checked_char_poly(quotient, twins, graph.vertex_count, int(degrees.sum())), twins
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +795,8 @@ def integral_spectrum(matrix) -> SpectrumMultiset:
     :class:`NotIntegral` when the candidates do not exhaust the spectrum.
     """
     m = _as_square_int_matrix(matrix)
-    poly, twins = _reduced_char_poly(m)
+    quotient, twins = _twin_quotient(m)
+    poly = _checked_char_poly(quotient, twins, m.shape[0], int(np.trace(m)))
     spectrum, residual = _split_spectrum(poly, twins, m.shape[0])
     if residual.degree > 0:
         raise NotIntegral(residual=residual, partial=spectrum.pairs)
@@ -769,13 +822,20 @@ class LaplacianAnalysis:
         return self.residual.degree == 0
 
 
+def _vertex_count(graph: SimpleGraph) -> int:
+    n = graph.vertex_count
+    if n == 0:
+        raise ValueError("graph has an empty vertex set: its Laplacian has no spectrum or tree count")
+    return n
+
+
 def analyze(graph: SimpleGraph) -> LaplacianAnalysis:
     """Spectrum, residual and eigenvalue tree count of a graph's Laplacian,
     from one characteristic polynomial of its twin quotient.  Never raises
-    :class:`NotIntegral`; the Kirchhoff cofactor is left to the caller."""
-    lap = laplacian(graph)
-    n = graph.vertex_count
-    poly, twins = _reduced_char_poly(lap)
+    :class:`NotIntegral`; the Kirchhoff cofactor is left to the caller.
+    Raises ``ValueError`` for a graph with no vertices."""
+    n = _vertex_count(graph)
+    poly, twins = _graph_char_poly(graph)
     spectrum, residual = _split_spectrum(poly, twins, n)
     return LaplacianAnalysis(spectrum, residual, _eigenvalue_tree_count(poly, twins, n))
 
@@ -788,17 +848,16 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     polynomial, times the twin eigenvalues; ``determinant`` takes the
     Kirchhoff cofactor (reduced-Laplacian determinant) of the full
     Laplacian.  ``both`` computes the two independently and insists they
-    agree.
+    agree.  Raises ``ValueError`` for a graph with no vertices.
     """
     if method not in ("both", "eigenvalues", "determinant"):
         raise ValueError(f"unknown method {method!r}")
-    lap = laplacian(graph)
-    n = graph.vertex_count
+    n = _vertex_count(graph)
     by_eigen = by_det = None
     if method in ("eigenvalues", "both"):
-        by_eigen = _eigenvalue_tree_count(*_reduced_char_poly(lap), n)
+        by_eigen = _eigenvalue_tree_count(*_graph_char_poly(graph), n)
     if method in ("determinant", "both"):
-        by_det = integer_determinant(lap[1:, 1:])
+        by_det = integer_determinant(laplacian(graph)[1:, 1:])
         if by_det < 0:
             raise AssertionError("Kirchhoff cofactor came out negative")
     if method == "eigenvalues":
@@ -818,11 +877,8 @@ def factor_integer_roots(poly: IntegerPolynomial, upper: int) -> tuple[tuple[tup
     remainder = poly
     for t in range(upper, -1, -1):
         mult = 0
-        while True:
-            quotient, rem = remainder.synthetic_division(t)
-            if rem != 0:
-                break
-            remainder = quotient
+        while remainder(t) == 0:
+            remainder = remainder.synthetic_division(t)[0]
             mult += 1
         if mult:
             pairs.append((t, mult))

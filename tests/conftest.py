@@ -32,14 +32,15 @@ CRITERIA = {
 
 @pytest.fixture
 def spectral_calls(monkeypatch):
-    """Counts of the char polys and Kirchhoff determinants computed."""
-    calls = {"char_poly": 0, "integer_determinant": 0}
+    """Counts of the char polys, Kirchhoff determinants and int64
+    Laplacians computed."""
+    calls = {"char_poly": 0, "integer_determinant": 0, "laplacian": 0}
     for name in calls:
         real = getattr(spectral, name)
 
-        def spy(matrix, real=real, name=name):
+        def spy(arg, real=real, name=name):
             calls[name] += 1
-            return real(matrix)
+            return real(arg)
 
         monkeypatch.setattr(spectral, name, spy)
     return calls

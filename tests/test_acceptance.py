@@ -21,6 +21,7 @@ from superspectra import (
     BASE_FOR_KIND,
     NotIntegral,
     SimpleGraph,
+    analyze,
     build_group,
     char_poly,
     factor_integer_roots,
@@ -272,6 +273,11 @@ def test_criterion_8_oracle_equivalence():
         except NotIntegral as exc:
             by_nullity = ("residual", exc.residual.coefficients, tuple(exc.partial))
         assert by_deflation == by_nullity
+        # graph input reads the bool adjacency, matrix input the Laplacian
+        result = analyze(graph)
+        pairs = result.spectrum.pairs
+        assert (pairs if result.integral else ("residual", result.residual.coefficients, pairs)) == by_nullity
+        assert result.trees == spanning_tree_count(graph, method="eigenvalues") == both
         checked_family += 1
     assert len(corpus) >= 200
     assert enumerated >= 200

@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from superspectra import cli, spectral
+from superspectra import QUATERNION, build_group, cli, named_super_graph, spectral
 from superspectra.cli import main
 
 
@@ -228,24 +229,30 @@ def test_spectrum_renders_tree_counts_past_the_int_str_limit(capsys, monkeypatch
 
 class TestOneCharPolyPerGraph:
     """The spectrum and the eigenvalue tree count come from one char poly;
-    the Kirchhoff cofactor runs once per graph that needs it."""
+    the Kirchhoff cofactor, and the int64 Laplacian it needs, run once per
+    graph that needs them."""
 
     def test_spectrum_integral(self, capsys, spectral_calls):
         code, _, _ = run(capsys, "spectrum", "--kind", "csep", "--family", "d2n", "--n", "5", "--format", "json")
         assert code == 0
-        assert spectral_calls == {"char_poly": 1, "integer_determinant": 1}
+        assert spectral_calls == {"char_poly": 1, "integer_determinant": 1, "laplacian": 1}
 
     def test_spectrum_not_integral_runs_no_cofactor(self, capsys, spectral_calls):
         code, out, _ = run(capsys, "spectrum", "--family", "q4n", "--n", "3", "--base", "power",
                            "--relation", "equality", "--format", "json")
         assert code == 1 and json.loads(out)["error"] == "not_integral"
-        assert spectral_calls == {"char_poly": 1, "integer_determinant": 0}
+        assert spectral_calls == {"char_poly": 1, "integer_determinant": 0, "laplacian": 0}
 
     def test_verify(self, capsys, spectral_calls):
         code, _, _ = run(capsys, "verify", "--kind", "csep", "--family", "q4n", "--range", "2..4",
                          "--threads", "1", "--format", "json")
         assert code == 0
-        assert spectral_calls == {"char_poly": 3, "integer_determinant": 3}
+        assert spectral_calls == {"char_poly": 3, "integer_determinant": 3, "laplacian": 3}
+
+
+def broken_quotient(adj, degrees):
+    """The full Laplacian as its own quotient, with one twin pair too many."""
+    return np.diag(degrees) - adj, [(1, 1)]
 
 
 class TestInternalCheckFailure:
@@ -276,7 +283,7 @@ class TestInternalCheckFailure:
         assert case["tree_methods_agree"] is False and case["passed"] is False
 
     def test_verify_trace_identity_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(spectral, "_twin_quotient", lambda m: (m, [(1, 1)]))
+        monkeypatch.setattr(spectral, "_quotient_by_twins", broken_quotient)
         sweep = ("verify", "--kind", "csep", "--family", "q4n", "--range", "2..3", "--threads", "1")
         code, out, _ = run(capsys, *sweep, "--format", "json")
         assert code == 3
@@ -286,3 +293,11 @@ class TestInternalCheckFailure:
         for fmt in ("table", "csv"):
             code, out, err = run(capsys, *sweep, "--format", fmt)
             assert code == 3 and out == "" and "trace identity" in err
+
+    def test_matrix_input_trace_identity_fails(self, monkeypatch):
+        # integral_spectrum(matrix) reaches the same quotient after the
+        # graph-Laplacian test, so the same break fails it
+        lap = spectral.laplacian(named_super_graph(build_group(QUATERNION, 3), "enhanced", "conjugacy"))
+        monkeypatch.setattr(spectral, "_quotient_by_twins", broken_quotient)
+        with pytest.raises(AssertionError, match="trace identity"):
+            spectral.integral_spectrum(lap)

@@ -34,6 +34,7 @@ from superspectra.spectral import (
     _det_mod_stack_symmetric,
     _det_residues,
     _is_graph_laplacian,
+    _charpoly_coeff_bits,
     _packed_size,
     _prime_batch,
     _prime_width,
@@ -41,6 +42,7 @@ from superspectra.spectral import (
     _twin_quotient,
 )
 
+from conftest import ORACLE_SWEEP
 from oracles import (
     bareiss_determinant,
     bareiss_nullity,
@@ -110,6 +112,18 @@ class TestLaplacian:
         assert np.array_equal(np.diagonal(lap), g.degrees())
         off = lap[~np.eye(g.vertex_count, dtype=bool)]
         assert set(np.unique(off)) <= {-1, 0}
+
+    @pytest.mark.parametrize(
+        "graph",
+        [csep(DIHEDRAL, 5),  # a lift: Fortran-ordered adjacency
+         named_super_graph(build_group(QUATERNION, 6), "power", "equality"),
+         graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+         graph_from_edges(1, []), graph_from_edges(0, [])],
+    )
+    def test_degree_matrix_minus_adjacency(self, graph):
+        lap = laplacian(graph)
+        assert lap.dtype == np.int64
+        assert np.array_equal(lap, np.diag(graph.degrees()) - graph.adjacency.astype(np.int64))
 
 
 class TestLaplacianBlockStructure:
@@ -236,6 +250,39 @@ class TestCharPoly:
         with pytest.raises(TypeError):
             char_poly(np.eye(2))
 
+    @pytest.mark.parametrize("shift_every_prime", [False, True])
+    def test_extra_prime_certificate(self, monkeypatch, shift_every_prime):
+        # shifting the constant residue of one batch prime reconstructs a
+        # huge constant; shifting it by 1 on every batch prime reconstructs
+        # the char poly plus 1, far inside the Hadamard bound.  Both stay
+        # monic of degree n, so only the prime outside the batch sees them.
+        lap = laplacian(csep(DIHEDRAL, 5))
+        width = _prime_width(lap.shape[0])
+        batch = _prime_batch(_charpoly_coeff_bits(lap) + 1, width)
+        check = spectral._ensure_primes(width, len(batch) + 1)[len(batch)]
+        assert len(batch) > 1 and check not in batch
+        exact = char_poly(lap)
+        real = spectral._hessenberg_charpoly
+        seen = []
+        shifted = set(batch) if shift_every_prime else {batch[-1]}
+
+        def perturbed(h, p):
+            residues = real(h, p)
+            seen.append(p)
+            if p in shifted:
+                residues[0] = (residues[0] + 1) % p
+            return residues
+
+        monkeypatch.setattr(spectral, "_hessenberg_charpoly", perturbed)
+        with pytest.raises(AssertionError, match="extra-prime certificate"):
+            char_poly(lap)
+        assert seen == batch + [check]
+        if shift_every_prime:
+            # the same shift on the certificate prime as well goes through
+            shifted.add(check)
+            wrong = char_poly(lap)
+            assert wrong.coefficients == (exact.coefficients[0] + 1,) + exact.coefficients[1:]
+
     def test_against_sympy_when_available(self):
         sympy = pytest.importorskip("sympy")
         rng = np.random.default_rng(4242)
@@ -309,7 +356,8 @@ class TestAnalyze:
     def test_one_char_poly_and_no_cofactor(self, spectral_calls):
         analyze(csep(QUATERNION, 3))
         analyze(path_graph(4))
-        assert spectral_calls == {"char_poly": 2, "integer_determinant": 0}
+        # P4 has no twins: its full Laplacian is its own quotient
+        assert spectral_calls == {"char_poly": 2, "integer_determinant": 0, "laplacian": 1}
 
 
 def test_read_only_int64_input_is_used_in_place(monkeypatch):
@@ -925,3 +973,119 @@ def test_twin_quotient_matches_full_paths(graph):
         assert by_eigen == 0
     assert analysis_path(graph) == full_path(lap)
     assert analyze(graph).trees == by_eigen
+
+
+# ---------------------------------------------------------------------------
+# graph input and matrix input
+
+
+def graph_and_matrix_paths(graph):
+    """analyze(graph), integral_spectrum(laplacian(graph)) and the eigenvalue
+    tree count, asserted to agree; returns the spectrum or residual."""
+    result = analyze(graph)
+    by_graph = analysis_path(graph)
+    assert by_graph == deflation_path(laplacian(graph))
+    assert spanning_tree_count(graph, method="eigenvalues") == result.trees
+    return by_graph, result.trees
+
+
+def rank_oracle_path(lap):
+    try:
+        return spectrum_by_nullity(lap).pairs
+    except NotIntegral as exc:
+        return ("residual", exc.residual.coefficients, tuple(exc.partial))
+
+
+RANK_ORACLE_MAX_ORDER = 24  # rank oracle cost grows as N^4: 0.2 s at order 40
+
+
+@pytest.mark.parametrize("family,n", ORACLE_SWEEP)
+def test_graph_path_matches_matrix_path(family, n):
+    table = build_group(family, n)
+    for base in ("power", "enhanced", "commuting"):
+        graph = named_super_graph(table, base, "conjugacy")
+        by_graph, trees = graph_and_matrix_paths(graph)
+        if table.order <= RANK_ORACLE_MAX_ORDER:
+            assert by_graph == rank_oracle_path(laplacian(graph))
+            assert trees == spanning_tree_count(graph, method="determinant")
+
+
+@st.composite
+def blown_up_graphs(draw):
+    """Random graphs on 1-40 vertices: a random outer graph on k vertices,
+    each vertex blown up into a clique (closed twins) or an independent set
+    (open twins) of 1-4 vertices, plus isolated vertices, shuffled.  All
+    parts of size 1 give a random graph, often twin-free; sparse outer
+    graphs and isolated vertices give disconnected ones."""
+    k = draw(st.integers(min_value=1, max_value=9))
+    outer = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))).reshape(k, k)
+    outer = np.triu(outer, 1)
+    outer = outer | outer.T
+    cliques = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    sizes = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 4]), min_size=k, max_size=k))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    block_of = np.repeat(np.arange(k), sizes)
+    same = block_of[:, None] == block_of[None, :]
+    adj = np.where(same, cliques[block_of][:, None], outer[np.ix_(block_of, block_of)])
+    np.fill_diagonal(adj, False)
+    adj = np.pad(adj, (0, isolated))
+    perm = draw(st.permutations(range(adj.shape[0])))
+    return SimpleGraph(adj[np.ix_(perm, perm)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(blown_up_graphs())
+@example(graph_from_edges(1, []))
+@example(path_graph(6))  # twin-free
+@example(graph_from_edges(7, [(0, 1), (2, 3), (2, 4), (3, 4)]))  # K2 + K3 + 2 K1
+@example(graph_from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))  # open and closed twins
+def test_graph_path_matches_matrix_path_and_oracles(graph):
+    by_graph, trees = graph_and_matrix_paths(graph)
+    lap = laplacian(graph)
+    assert by_graph == rank_oracle_path(lap) == full_path(lap)
+    assert trees == spanning_tree_count(graph, method="determinant")
+    if component_count(graph.adjacency) > 1:
+        assert trees == 0
+
+
+class TestSmallOrders:
+    def test_null_graph_is_refused_before_any_work(self, spectral_calls):
+        null = graph_from_edges(0, [])
+        with pytest.raises(ValueError, match="empty vertex set"):
+            analyze(null)
+        for method in ("both", "eigenvalues", "determinant"):
+            with pytest.raises(ValueError, match="empty vertex set"):
+                spanning_tree_count(null, method=method)
+        assert spectral_calls == {"char_poly": 0, "integer_determinant": 0, "laplacian": 0}
+
+    @pytest.mark.parametrize(
+        "graph,pairs,trees",
+        [(graph_from_edges(1, []), ((0, 1),), 1),
+         (graph_from_edges(2, []), ((0, 2),), 0),
+         (complete(2), ((2, 1), (0, 1)), 1)],
+    )
+    def test_orders_one_and_two(self, graph, pairs, trees):
+        result = analyze(graph)
+        assert result.integral and result.spectrum.pairs == pairs and result.trees == trees
+        assert integral_spectrum(laplacian(graph)).pairs == pairs
+        for method in ("both", "eigenvalues", "determinant"):
+            assert spanning_tree_count(graph, method=method) == trees
+
+
+@pytest.mark.parametrize("n", [125, 250])  # orders 1000 and 2000
+def test_graph_path_memory_peak(n):
+    # the graph path holds two sets of packed rows, 2 * N^2 / 8 bytes, and
+    # no int64 Laplacian; laplacian is one int64 array, 8 N^2 bytes
+    graph = named_super_graph(build_group(SEMIDIHEDRAL, n), "commuting", "conjugacy")
+    order = graph.vertex_count
+    for run, bound in ((lambda: analyze(graph), 2.0),
+                       (lambda: spanning_tree_count(graph, method="eigenvalues"), 2.0),
+                       (lambda: laplacian(graph), 8.1)):
+        run()  # the prime tables are filled once per process
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * order * order, peak / order**2
