@@ -97,7 +97,7 @@ def compose(spec: CompositionSpec) -> SimpleGraph:
         raise ArityMismatch(f"outer graph has {k} vertices but {len(spec.parts)} parts given")
     offsets = spec.part_offsets
     part_of = np.repeat(np.arange(k), np.diff(offsets))
-    adj = spec.outer.adjacency[part_of][:, part_of]
+    adj = spec.outer.adjacency[:, part_of][part_of]
     for i, part in enumerate(spec.parts):
         lo, hi = offsets[i], offsets[i + 1]
         adj[lo:hi, lo:hi] = part.adjacency
@@ -204,6 +204,6 @@ def structural_graph(kind: str, family: str, n: int) -> SimpleGraph:
     part_of = np.empty_like(vertices)  # part of each canonical vertex
     part_of[vertices] = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     same_or_adjacent = outer.adjacency | np.eye(len(parts), dtype=bool)
-    adj = same_or_adjacent[part_of][:, part_of]
+    adj = same_or_adjacent[:, part_of][part_of]
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj)

@@ -170,7 +170,7 @@ def super_graph(base: SimpleGraph, classes: Partition, class_cliques: bool = Tru
     block_adj = np.unpackbits(cols, axis=1, count=classes.block_count).astype(bool)
     if class_cliques:
         np.fill_diagonal(block_adj, True)
-    adj = block_adj[classes.block_of][:, classes.block_of]
+    adj = block_adj[:, classes.block_of][classes.block_of]
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=base.group)
 

@@ -15,22 +15,22 @@ stays inside int64, which lets numpy carry the O(N^3) inner loops.
 
 The Kirchhoff cofactor (``integer_determinant``) is computed the same way,
 by CRT against the Hadamard row-norm bound, but its residues come from a
-blocked LU over a float32 stack of residues, one prime per layer, allocated
-once per call and about 1.5 MB with its float64 temporaries.  Per panel of
-16 columns, Gauss-Jordan on the diagonal block in float64 gives its pivots
-and inverse, and the trailing matrix takes its Schur complement in row
-blocks, each one batched float64 matmul on BLAS and one reduction mod p.
-A Kirchhoff minor is symmetric, so symmetric int64 input keeps only the
-lower triangle, packed in row blocks of about n**2 / 2 + 8n entries per
-prime, and updates each row block only up to its diagonal, with no row
-swaps.  A prime whose pivot is 0 there, and every prime of other input,
-goes to the general LU over a (P, n, n) stack, which pivots from below.
-The primes are 24-bit at every order, and two bounds are asserted at run
-time: p < 2**24, below which float32 holds every residue exactly, and
-16 * (p - 1)**2 + p < 2**53, below which float64 holds every sum of up to
-16 products of residues and its rounding product exactly.  The two prime
-widths come from one selector with an int64 budget (63 bits) for the char
-poly and a float64 budget (53 bits) for the cofactor.
+blocked LDL^T with no row swaps over a float32 stack that holds the packed
+lower triangle of the minor for a batch of primes, allocated once per call
+and about 1.5 MB with its float64 temporaries.  Per 16-column panel,
+Gauss-Jordan on the diagonal block in float64 gives its pivots and
+inverse, and each later row block takes its Schur complement up to its
+diagonal, one batched float64 matmul on BLAS and one reduction mod p.  The
+leading minors of a connected graph's Kirchhoff minor count rooted
+spanning forests (the all-minors matrix-tree theorem), so none is 0, and a
+prime that meets a zero pivot is replaced by the next; a disconnected
+graph reaches no cofactor.  The primes are 24-bit at every order, and two
+bounds are asserted at run time: p < 2**24, below which float32 holds
+every residue exactly, and 16 * (p - 1)**2 + p < 2**53, below which
+float64 holds every sum of up to 16 products of residues and its rounding
+product exactly.  The two prime widths come from one selector with an
+int64 budget (63 bits) for the char poly and a float64 budget (53 bits)
+for the cofactor.
 
 The spectrum and the eigenvalue tree count first reduce a graph Laplacian
 along its twin classes.  Its closed twins (N[u] = N[v]) and open twins
@@ -60,6 +60,7 @@ never consulted here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,9 +75,8 @@ _FLOAT64_BITS = 53  # float64 holds every integer below 2**53 exactly
 _FLOAT32_BITS = 24  # float32 holds every integer below 2**24 exactly
 _DET_PANEL = 16  # Kirchhoff LU panel width, and rows per block of its trailing update
 # float32 residue stack of one batch of primes with its float64 temporaries:
-# 4 * _packed_size(n) + 40 * _DET_PANEL * n bytes per prime for symmetric input,
-# 7 primes at order 200 and 13 at 128; 4n**2 + 40 * _DET_PANEL * n for the
-# general LU, 5 at order 200.  Larger stacks raise peak RSS (2 MB float64
+# 4 * _packed_size(n) + 40 * _DET_PANEL * n bytes per prime, 7 primes at
+# order 200 and 13 at 128.  Larger stacks raise peak RSS (2 MB float64
 # stacks: +10% on a catalog sweep).
 _DET_STACK_BYTES = 3 << 19
 
@@ -235,11 +235,16 @@ def _small_primes() -> list[int]:
 
 
 def _ensure_primes(width: int, count: int) -> list[int]:
+    """At least ``count`` primes of exactly ``width`` bits, descending.
+    ``_prime_width`` and the Kirchhoff drop bound rely on every one lying
+    above 2**(width - 1), so running out of them is an error."""
     primes = _PRIMES.setdefault(width, [])
     small = _small_primes()
     candidate = primes[-1] - 2 if primes else (1 << width) - 1
     while len(primes) < count:
-        if all(candidate % q for q in small):
+        if candidate <= 1 << (width - 1):
+            raise AssertionError(f"fewer than {count} primes of {width} bits")
+        if all(candidate % q for q in itertools.takewhile(lambda q: q * q <= candidate, small)):
             primes.append(candidate)
         candidate -= 2
     return primes
@@ -410,106 +415,6 @@ def _reduce(c: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
     c -= q
 
 
-def _pivot_from_below(
-    a: np.ndarray, g: np.ndarray, j0: int, t: int, p: np.ndarray, p_inv: np.ndarray
-) -> int:
-    """Give one prime a nonzero pivot in column t of the panel at j0; ``a``
-    and ``g`` are its layers of the stack and of the Gauss-Jordan state.
-
-    Takes the first nonzero at or below the diagonal: block rows from ``g``,
-    rows below the block brought up to date for this column alone.  Swaps
-    that row with the diagonal row in the stack and rebuilds the two rows'
-    Gauss-Jordan state from it.  Returns the swap count, 0 or 1."""
-    w = g.shape[0]
-    j1 = j0 + w
-    done = g[:t, t:]
-    _reduce(done, p, p_inv)
-    low = a[j1:, j0 + t] - a[j1:, j0 : j0 + t] @ done[:, 0]
-    _reduce(low, p, p_inv)
-    nonzero = np.flatnonzero(np.concatenate([g[t + 1 :, t], low]))
-    if nonzero.size == 0:
-        return 0
-    r = j0 + t + 1 + int(nonzero[0])
-    a[[j0 + t, r], j0:] = a[[r, j0 + t], j0:]
-    for i in (t, r - j0) if r < j1 else (t,):
-        g[i, t:w] = a[j0 + i, j0 + t : j1]
-        g[i, w:] = np.arange(w) == i
-        g[i, t:] -= a[j0 + i, j0 : j0 + t] @ done
-        _reduce(g[i, t:], p, p_inv)
-    return 1
-
-
-def _det_mod_stack(m: np.ndarray, primes: list[int], stack: np.ndarray | None = None) -> list[int]:
-    """det m mod p for each prime, by one blocked LU over a (P, n, n) float32
-    stack of residues, one prime per layer, held in ``stack`` when given.
-
-    Right-looking, ``_DET_PANEL`` = b columns at a time.  Gauss-Jordan on
-    the diagonal block A11, in float64 and augmented by the identity, gives
-    its pivots and A11^-1; the trailing matrix then becomes the Schur
-    complement A22 - A21 (A11^-1 A12), a block of b rows at a time, each
-    with one batched matmul and one reduction.  A prime whose diagonal
-    residue is zero pivots on the first nonzero at or below the diagonal
-    (``_pivot_from_below``), swapping whole rows of the stack; a prime with
-    no pivot in some column gets a zero on its diagonal.  Columns left of
-    the panel are never read again.
-
-    Exactness: the reduction leaves |r| <= p/2 + 2, so a residue is zero
-    exactly when it is 0 mod p, and float32 stores every residue exactly
-    while p < 2**24.  Between two reductions an entry gathers at most k
-    products of two reduced factors: k = w - 1 in the Gauss-Jordan state of
-    a panel of width w and in the rows ``_pivot_from_below`` brings up to
-    date, k = w in A11^-1 A12 and in the trailing update.  It and its
-    rounding product then stay below k * (p - 1)**2 + p for p > 16, which is
-    checked against 2**53 before each such sum is formed.
-    """
-    n = m.shape[0]
-    top = max(primes)
-    if top >= 1 << _FLOAT32_BITS:
-        raise AssertionError("prime too wide for exact float32 storage")
-    a = np.empty((len(primes), n, n), dtype=np.float32) if stack is None else stack[: len(primes)]
-    for i, q in enumerate(primes):
-        np.remainder(m, q, out=a[i], casting="unsafe")
-    p = np.array(primes, dtype=np.float64)[:, None, None]
-    p_inv = 1.0 / p
-    swaps = np.zeros(len(primes), dtype=np.int64)
-    diagonal = np.empty((len(primes), n))
-    for j0 in range(0, n, _DET_PANEL):
-        j1 = min(j0 + _DET_PANEL, n)
-        w = j1 - j0
-        _check_float64_sums(w - 1, top)
-        eye = np.broadcast_to(np.eye(w), (len(primes), w, w))
-        g = np.concatenate((a[:, j0:j1, j0:j1], eye), axis=2, dtype=np.float64)
-        for t in range(w):
-            column = g[:, :, t]
-            _reduce(column, p[:, 0], p_inv[:, 0])
-            if not column[:, t].all():
-                for s in np.flatnonzero(column[:, t] == 0):
-                    swaps[s] += _pivot_from_below(a[s], g[s], j0, t, p[s, 0], p_inv[s, 0])
-            pivots = column[:, t].tolist()
-            diagonal[:, j0 + t] = pivots
-            row = g[:, t, t + 1 :]
-            _reduce(row, p[:, 0], p_inv[:, 0])
-            row *= np.array([pow(int(v), -1, q) if v else 0 for v, q in zip(pivots, primes)])[:, None]
-            _reduce(row, p[:, 0], p_inv[:, 0])
-            column[:, t] = 0
-            g[:, :, t + 1 :] -= column[:, :, None] * row[:, None, :]
-        if j1 == n:
-            break
-        _check_float64_sums(w, top)
-        a11_inv = g[:, :, w:]
-        _reduce(a11_inv, p, p_inv)
-        x = np.matmul(a11_inv, a[:, j0:j1, j1:].astype(np.float64))
-        _reduce(x, p, p_inv)
-        for r0 in range(j1, n, _DET_PANEL):
-            r1 = min(r0 + _DET_PANEL, n)
-            c = np.matmul(a[:, r0:r1, j0:j1].astype(np.float64), x)
-            np.subtract(a[:, r0:r1, j1:], c, out=c)
-            _reduce(c, p, p_inv)
-            a[:, r0:r1, j1:] = c
-    residues = diagonal.astype(np.int64).tolist()
-    return [(-1) ** int(t) * math.prod(d) % q for d, t, q in zip(residues, swaps, primes)]
-
-
 def _packed_size(n: int) -> int:
     """Entries per prime of the packed lower triangle: row block i of
     ``_DET_PANEL`` rows holds columns 0 .. min(b (i + 1), n)."""
@@ -517,13 +422,10 @@ def _packed_size(n: int) -> int:
     return sum((min(r0 + b, n) - r0) * min(r0 + b, n) for r0 in range(0, n, b))
 
 
-def _det_mod_stack_symmetric(
-    m: np.ndarray, primes: list[int], stack: np.ndarray | None = None
-) -> list[int | None]:
+def _det_mod_stack_symmetric(m: np.ndarray, primes: list[int], stack: np.ndarray) -> tuple[list[int], list[int]]:
     """det m mod p for each prime, for symmetric m: blocked LDL^T with no
-    row swaps over the packed lower triangle, one prime per row of a
-    float32 stack of ``_packed_size(n)`` entries each, held in ``stack``
-    when given.
+    row swaps over the packed lower triangle, one prime per row of the
+    float32 ``stack``, whose rows hold ``_packed_size(n)`` entries or more.
 
     Row block i of the packed layout holds columns 0 .. min(b (i + 1), n),
     b = ``_DET_PANEL``, so each b x b diagonal block is stored in full.
@@ -531,21 +433,26 @@ def _det_mod_stack_symmetric(
     place, its pivots being those of the elimination; X = A11^-1 A21^T,
     and each later row block takes the Schur complement A22 - A21 X from
     column j1 up to its own diagonal, which keeps the trailing matrix
-    symmetric.  With no swaps a zero pivot cannot be avoided: the residue
-    of that prime comes back as None, for the general ``_det_mod_stack``
-    to recompute.
+    symmetric.  Columns left of the panel are never read again.
 
-    Exactness is argued as in ``_det_mod_stack``: the in-place Gauss-Jordan
-    forms at most w - 1 products of reduced factors between two reductions
-    of an entry, X and the trailing update w, both checked against 2**53.
+    With no swaps the k-th pivot is D_k / D_(k-1) mod p, D_k the k-th
+    leading principal minor.  Returns the residues and, for each prime, the
+    first k < n with p | D_k, whose residue is then invalid, or 0.  A zero
+    at the last pivot is det m = 0 mod p, a valid residue.
+
+    Exactness: the reduction leaves |r| <= p/2 + 2, so a residue is zero
+    exactly when it is 0 mod p, and float32 stores every residue exactly
+    while p < 2**24.  Between two reductions an entry gathers at most k
+    products of two reduced factors: k = w - 1 in the Gauss-Jordan of a
+    panel of width w, k = w in X and in the trailing update.  It and its
+    rounding product then stay below k * (p - 1)**2 + p for p > 16, which
+    is checked against 2**53 before each such sum is formed.
     """
     n = m.shape[0]
     top = max(primes)
     if top >= 1 << _FLOAT32_BITS:
         raise AssertionError("prime too wide for exact float32 storage")
     count = len(primes)
-    if stack is None:
-        stack = np.empty((count, _packed_size(n)), dtype=np.float32)
     moduli = np.array(primes, dtype=np.int64)[:, None, None]
     blocks = []
     offset = 0
@@ -557,7 +464,7 @@ def _det_mod_stack_symmetric(
         offset += (r1 - r0) * r1
     p = np.array(primes, dtype=np.float64)[:, None, None]
     p_inv = 1.0 / p
-    failed = np.zeros(count, dtype=bool)
+    zero_at = np.zeros(count, dtype=np.int64)
     diagonal = np.empty((count, n))
     for j, block in enumerate(blocks):
         j0 = j * _DET_PANEL
@@ -570,8 +477,8 @@ def _det_mod_stack_symmetric(
             _reduce(column, p[:, 0], p_inv[:, 0])
             pivots = column[:, t].tolist()
             diagonal[:, j0 + t] = pivots
-            if not all(pivots):
-                failed |= column[:, t] == 0
+            if not all(pivots) and j0 + t < n - 1:
+                zero_at[(column[:, t] == 0) & (zero_at == 0)] = j0 + t + 1
             column[:, t] = 0
             g[:, :, t] = 0
             g[:, t, t] = 1
@@ -594,69 +501,75 @@ def _det_mod_stack_symmetric(
             _reduce(c, p, p_inv)
             b[:, :, j1:] = c
     residues = diagonal.astype(np.int64).tolist()
-    return [None if bad else math.prod(d) % q for d, bad, q in zip(residues, failed, primes)]
-
-
-def _stacked_residues(routine, m: np.ndarray, primes: list[int], layer: tuple, charge: int) -> list:
-    """``routine`` over batches of ``primes``, in one float32 stack of
-    ``layer``-shaped layers sized so that ``charge`` bytes per prime fit
-    ``_DET_STACK_BYTES``, allocated once and reused for every batch."""
-    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // charge))
-    stack = np.empty((per_stack, *layer), dtype=np.float32)
-    residues = []
-    for start in range(0, len(primes), per_stack):
-        residues += routine(m, primes[start : start + per_stack], stack)
-    return residues
-
-
-def _det_residues(m: np.ndarray, primes: list[int]) -> list[int]:
-    """det m mod p for each prime.  Symmetric int64 input takes the packed
-    symmetric LU; the primes it leaves without a pivot, and every prime of
-    other input, take the general LU.  Each runs in its own stack, the
-    packed one freed before the general one is allocated."""
-    n = m.shape[0]
-    temporaries = 40 * _DET_PANEL * n  # bytes per prime of float64 panels and update blocks
-    residues: list = [None] * len(primes)
-    if m.dtype != object and _is_symmetric(m):
-        size = _packed_size(n)
-        residues = _stacked_residues(_det_mod_stack_symmetric, m, primes, (size,), 4 * size + temporaries)
-    failed = [q for q, r in zip(primes, residues) if r is None]
-    if failed:
-        redone = iter(_stacked_residues(_det_mod_stack, m, failed, (n, n), 4 * n * n + temporaries))
-        residues = [next(redone) if r is None else r for r in residues]
-    return residues
+    return [math.prod(d) % q for d, q in zip(residues, primes)], zero_at.tolist()
 
 
 def integer_determinant(matrix) -> int:
-    """Exact determinant: blocked modular LU on float32 stacks of primes,
-    packed to the lower triangle for symmetric input, then CRT against the
-    Hadamard row-norm bound."""
+    """Exact determinant of a symmetric integer matrix whose leading
+    principal minors D_1 .. D_(n-1) are nonzero, as those of the Kirchhoff
+    minor of a connected graph are: blocked modular LDL^T on float32 stacks
+    of primes, then CRT against the Hadamard row-norm bound.
+
+    A prime that divides some D_k, k < n, meets a zero pivot and is
+    replaced by the next prime of its width w.  The primes dropped at pivot
+    k are distinct divisors of D_k above 2**(w - 1), and |D_k| <= H_k, the
+    Hadamard bound of the first k rows, so at most log2(H_k) / (w - 1) of
+    them can be dropped there; one more proves D_k = 0.  Raises
+    ``ValueError`` for object-dtype or non-symmetric input, before any
+    stack is allocated, and for a vanishing D_k, k < n.
+    """
     m = _as_square_int_matrix(matrix)
+    if m.dtype == object or not _is_symmetric(m):
+        raise ValueError("integer_determinant takes a symmetric matrix of int64 entries")
     n = m.shape[0]
     if n == 0:
         return 1
-    bits = 1.0
-    for norm_sq in _square_norms(m, axis=1):
-        bits += 0.5 * math.log2(max(1, norm_sq))
+    # log2 H_k for k = 1 .. n; c primes above 2**(w - 1) multiply to more than
+    # 2**(c (w - 1)) by a margin far above the rounding of these sums
+    leading = list(itertools.accumulate(0.5 * math.log2(max(1, s)) for s in _square_norms(m, axis=1)))
+    bits = leading[-1] + 2
     width = min(_FLOAT32_BITS, _prime_width(_DET_PANEL, _FLOAT64_BITS))
-    primes = _prime_batch(bits + 1, width)
-    return _crt_columns(np.array(_det_residues(m, primes), dtype=np.int64)[:, None], primes)[0]
+    primes = _prime_batch(bits, width)
+    size = _packed_size(n)
+    # bytes per prime: the packed stack and its float64 panels and update blocks
+    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // (4 * size + 40 * _DET_PANEL * n)))
+    stack = np.empty((per_stack, size), dtype=np.float32)
+    kept, residues = [], []
+    drops = [0] * n
+    dropped_bits = 0.0
+    drawn = 0
+    while drawn < len(primes):
+        batch = primes[drawn : drawn + per_stack]
+        drawn += len(batch)
+        for q, residue, k in zip(batch, *_det_mod_stack_symmetric(m, batch, stack)):
+            if k == 0:
+                kept.append(q)
+                residues.append(residue)
+                continue
+            drops[k] += 1
+            if drops[k] > leading[k - 1] // (width - 1):
+                raise ValueError(f"leading minor D_{k} is 0: {drops[k]} primes of {width} bits divide it")
+            dropped_bits += math.log2(q)
+            # a prefix of this width's primes, less those dropped, passes the bound
+            primes = _prime_batch(bits + dropped_bits, width)
+    return _crt_columns(np.array(residues, dtype=np.int64)[:, None], kept)[0]
 
 
 # ---------------------------------------------------------------------------
 # twin quotient
 
 
-def _is_graph_laplacian(m: np.ndarray) -> bool:
-    """Symmetric, off-diagonal entries in {0, -1}, zero row sums.  Entries
-    above 0 or below -1 are counted and must all lie on the diagonal, so no
-    N x N integer copy is made."""
-    if m.dtype == object or not _is_symmetric(m):
-        return False
+def _is_graph_laplacian(m: np.ndarray, adj: np.ndarray) -> bool:
+    """Off-diagonal entries in {0, -1}, symmetric, zero row sums, for an
+    int64 matrix m and its -1 pattern ``adj``.  Entries above 0 or below -1
+    are counted and must all lie on the diagonal, so no N x N integer copy
+    is made; the off-diagonal entries are then fixed by ``adj``, so m is
+    symmetric exactly when the bool ``adj`` is."""
     diagonal = np.diagonal(m)
     return bool(
         np.count_nonzero(m > 0) == np.count_nonzero(diagonal > 0)
         and np.count_nonzero(m < -1) == np.count_nonzero(diagonal < -1)
+        and _is_symmetric(adj)
         and not m.sum(axis=1).any()
     )
 
@@ -687,8 +600,7 @@ def _quotient_by_twins(
     rows with each vertex's own bit set, so no N x N array is made.
     """
     n = adj.shape[0]
-    # a symmetric adjacency equals its transpose: pack along the contiguous axis
-    packed = np.packbits(adj.T if adj.flags.f_contiguous else adj, axis=1)
+    packed = np.packbits(adj, axis=1)
     closed_rows = packed.copy()
     v = np.arange(n)
     closed_rows[v, v >> 3] |= (0x80 >> (v & 7)).astype(np.uint8)
@@ -714,11 +626,15 @@ def _quotient_by_twins(
 
 def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """``_quotient_by_twins`` for a matrix that passes the graph-Laplacian
-    test, read through its -1 entries and its diagonal.  Input that is not
-    a graph Laplacian, or has no twins, is returned as its own quotient."""
-    if not _is_graph_laplacian(m):
+    test, read through its -1 entries and its diagonal.  Object-dtype
+    input, input that is not a graph Laplacian, and a Laplacian with no
+    twins are returned as their own quotient."""
+    if m.dtype == object:
         return m, []
-    quotient, twins = _quotient_by_twins(m == -1, np.diagonal(m))
+    adj = m == -1
+    if not _is_graph_laplacian(m, adj):
+        return m, []
+    quotient, twins = _quotient_by_twins(adj, np.diagonal(m))
     return (m, []) if quotient is None else (quotient, twins)
 
 
@@ -840,6 +756,18 @@ def analyze(graph: SimpleGraph) -> LaplacianAnalysis:
     return LaplacianAnalysis(spectrum, residual, _eigenvalue_tree_count(poly, twins, n))
 
 
+def _connected(adj: np.ndarray) -> bool:
+    """Whether a graph, given by its bool adjacency, is connected: a
+    breadth-first sweep from vertex 0, one frontier of rows at a time."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[0] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adj[frontier].any(axis=0) & ~seen
+    return bool(seen.all())
+
+
 def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     """Number of spanning trees (0 when disconnected).
 
@@ -847,8 +775,10 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     off the degree-one coefficient of the twin quotient's characteristic
     polynomial, times the twin eigenvalues; ``determinant`` takes the
     Kirchhoff cofactor (reduced-Laplacian determinant) of the full
-    Laplacian.  ``both`` computes the two independently and insists they
-    agree.  Raises ``ValueError`` for a graph with no vertices.
+    Laplacian of a connected graph, and 0 for a disconnected one, found by
+    a breadth-first sweep with no cofactor.  ``both`` computes the two
+    independently and insists they agree.  Raises ``ValueError`` for a
+    graph with no vertices.
     """
     if method not in ("both", "eigenvalues", "determinant"):
         raise ValueError(f"unknown method {method!r}")
@@ -857,7 +787,7 @@ def spanning_tree_count(graph: SimpleGraph, method: str = "both") -> int:
     if method in ("eigenvalues", "both"):
         by_eigen = _eigenvalue_tree_count(*_graph_char_poly(graph), n)
     if method in ("determinant", "both"):
-        by_det = integer_determinant(laplacian(graph)[1:, 1:])
+        by_det = integer_determinant(laplacian(graph)[1:, 1:]) if _connected(graph.adjacency) else 0
         if by_det < 0:
             raise AssertionError("Kirchhoff cofactor came out negative")
     if method == "eigenvalues":

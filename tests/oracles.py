@@ -457,6 +457,26 @@ def poly_from_roots(pairs) -> IntegerPolynomial:
     return poly
 
 
+def leading_minors(matrix) -> list[int]:
+    """Leading principal minors D_1, D_2, ... by fraction-free (Bareiss)
+    elimination with no row swaps, whose k-th pivot is D_k; stops after
+    the first D_k that is 0, past which no pivot is defined."""
+    rows = [[int(x) for x in row] for row in np.asarray(matrix, dtype=object)]
+    n = len(rows)
+    minors, prev = [], 1
+    for col in range(n):
+        pivot = rows[col][col]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        for i in range(col + 1, n):
+            row = rows[i]
+            for j in range(col + 1, n):
+                row[j] = (row[j] * pivot - row[col] * rows[col][j]) // prev
+        prev = pivot
+    return minors
+
+
 def component_count(adjacency) -> int:
     adj = np.asarray(adjacency, dtype=bool)
     n = adj.shape[0]
@@ -583,4 +603,4 @@ def structural_graph_by_composition(kind: str, family: str, n: int) -> np.ndarra
     perm = np.fromiter(chain.from_iterable(parts), dtype=np.int64)
     position = np.empty_like(perm)  # composed vertex of each canonical index
     position[perm] = np.arange(perm.size)
-    return composed.adjacency[position][:, position]
+    return composed.adjacency[:, position][position]

@@ -85,7 +85,7 @@ class TestCompose:
         spec = CompositionSpec(outer=outer, parts=(complete(1), complete(2), complete(2)))
         got = compose(spec)
         expected = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-        assert got == expected
+        assert got == expected and got.adjacency.flags.c_contiguous
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -201,6 +201,7 @@ class TestStructuralGraph:
         # the composition and its relabelling gave
         adj = structural_graph(kind, family, n).adjacency
         expected = structural_graph_by_composition(kind, family, n)
+        assert adj.flags.c_contiguous
         assert adj.dtype == expected.dtype and adj.strides == expected.strides
         assert np.array_equal(adj, expected)
 

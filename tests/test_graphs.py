@@ -236,6 +236,7 @@ class TestSuperGraph:
         part = conjugacy_classes(table)
         for flag in (True, False):
             lifted = super_graph(base, part, flag)
+            assert lifted.adjacency.flags.c_contiguous
             assert base.is_spanning_subgraph_of(lifted)
             # idempotence
             assert super_graph(lifted, part, flag) == lifted

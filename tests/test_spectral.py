@@ -30,9 +30,8 @@ from superspectra import (
 from superspectra import spectral
 from superspectra.spectral import (
     _DET_PANEL,
-    _det_mod_stack,
+    _connected,
     _det_mod_stack_symmetric,
-    _det_residues,
     _is_graph_laplacian,
     _charpoly_coeff_bits,
     _packed_size,
@@ -48,6 +47,7 @@ from oracles import (
     bareiss_nullity,
     component_count,
     det_mod,
+    leading_minors,
     naive_char_poly,
     poly_from_roots,
     poly_mul,
@@ -115,7 +115,7 @@ class TestLaplacian:
 
     @pytest.mark.parametrize(
         "graph",
-        [csep(DIHEDRAL, 5),  # a lift: Fortran-ordered adjacency
+        [SimpleGraph(np.asfortranarray(csep(DIHEDRAL, 5).adjacency)),  # Fortran-ordered adjacency
          named_super_graph(build_group(QUATERNION, 6), "power", "equality"),
          graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]),
          graph_from_edges(1, []), graph_from_edges(0, [])],
@@ -417,6 +417,26 @@ class TestSpanningTrees:
         g = graph_from_edges(4, [(0, 1), (2, 3)])
         assert spanning_tree_count(g) == 0
 
+    def test_disconnected_graph_reaches_no_cofactor(self, spectral_calls):
+        # the sweep finds no spanning tree, and "both" still checks that 0
+        # against the eigenvalue product
+        for graph in (graph_from_edges(4, [(0, 1), (2, 3)]), graph_from_edges(3, []),
+                      graph_from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])):
+            assert spanning_tree_count(graph, method="determinant") == 0
+            assert spanning_tree_count(graph, method="both") == 0
+        assert spectral_calls["integer_determinant"] == 0
+        spanning_tree_count(path_graph(5), method="determinant")
+        assert spectral_calls["integer_determinant"] == 1
+
+    def test_connectivity_sweep_matches_component_count(self):
+        rng = np.random.default_rng(43)
+        graphs = [random_simple_graph(rng, int(rng.integers(1, 40)), float(rng.uniform(0.0, 0.2)))
+                  for _ in range(80)]
+        graphs += [path_graph(30).adjacency, complete(1).adjacency, graph_from_edges(2, []).adjacency]
+        results = [_connected(adj) for adj in graphs]
+        assert results == [component_count(adj) == 1 for adj in graphs]
+        assert True in results and False in results
+
     def test_disagreement_is_an_assertion_at_any_size(self, monkeypatch):
         # a count past str()'s 4300-digit limit still reaches the message in full
         monkeypatch.setattr(spectral, "_eigenvalue_tree_count", lambda poly, twins, n: 10**5000)
@@ -462,19 +482,37 @@ class TestSpanningTrees:
 
 
 class TestIntegerDeterminant:
+    """``integer_determinant`` takes symmetric integer matrices whose
+    leading principal minors D_1 .. D_(n-1) are nonzero, as the Kirchhoff
+    minors of connected graphs are, and refuses every other matrix."""
+
     def test_known_values(self):
         assert integer_determinant(np.array([[2, 1], [1, 2]])) == 3
-        assert integer_determinant(np.array([[0, 1], [1, 0]])) == -1
-        assert integer_determinant(np.zeros((3, 3), dtype=np.int64)) == 0
+        assert integer_determinant(np.array([[2, 1], [1, 0]])) == -1
+        # D_n = 0 is a determinant, not a refusal
+        assert integer_determinant(np.zeros((1, 1), dtype=np.int64)) == 0
+        assert integer_determinant(np.array([[1, 1], [1, 1]])) == 0
+        for m in ([[0, 1], [1, 0]], np.zeros((3, 3), dtype=np.int64), [[1, 1, 0], [1, 1, 0], [0, 0, 1]]):
+            with pytest.raises(ValueError, match="D_"):
+                integer_determinant(np.array(m))
+        with pytest.raises(ValueError, match="symmetric"):
+            integer_determinant(np.array([[2, 1], [0, 2]]))
 
     def test_against_permanent_free_reference(self):
         rng = np.random.default_rng(5)
-        for _ in range(30):
+        refused = 0
+        for _ in range(40):
             n = int(rng.integers(1, 7))
-            m = rng.integers(-6, 7, size=(n, n))
+            m = symmetric(rng, n, 6)
+            if 0 in leading_minors(m)[: n - 1]:
+                refused += 1
+                with pytest.raises(ValueError, match="D_"):
+                    integer_determinant(m)
+                continue
             # reference: constant term of det(xI - M) is (-1)^n det(M)
             constant = naive_char_poly(m)[0]
             assert integer_determinant(m) == (-1) ** n * constant
+        assert 0 < refused < 40
 
 
 class TestFactorIntegerRoots:
@@ -503,6 +541,15 @@ class TestPrimeWidth:
         assert _prime_width(2048) == 26
         assert _prime_width(2049) == 25
         assert 2049 * (max(_prime_batch(1000, 26)) - 1) ** 2 >= 1 << 63
+
+    def test_primes_of_a_narrow_width(self):
+        # trial division stops at the square root, so a width of 13 bits or
+        # fewer has primes too, and none at or below 2**(width - 1)
+        primes = spectral._ensure_primes(10, 75)[:75]
+        assert primes == sorted((q for q in range(513, 1024) if is_prime(q)), reverse=True)
+        with pytest.raises(AssertionError, match="76 primes of 10 bits"):
+            spectral._ensure_primes(10, 76)
+        assert spectral._ensure_primes(2, 1) == [3]
 
     @pytest.mark.parametrize("n", [1, 2048, 2049, 8192, 8193, 10**6])
     def test_batch_keeps_headroom(self, n):
@@ -537,33 +584,33 @@ def edge_primes(length, bits):
     return below, next(q for q in range(p + 1, 2 * p) if is_prime(q))
 
 
-def stack_bytes(n, per_stack):
-    """A ``_DET_STACK_BYTES`` that holds ``per_stack`` primes at order n."""
-    return (4 * n * n + 40 * _DET_PANEL * n) * per_stack
-
-
 def packed_stack_bytes(n, per_stack):
-    """The same for the packed stack of the symmetric LU."""
+    """A ``_DET_STACK_BYTES`` that holds ``per_stack`` primes of the packed
+    stack at order n."""
     return (4 * _packed_size(n) + 40 * _DET_PANEL * n) * per_stack
 
 
-def record_routines(monkeypatch):
-    """Spy on both stack routines: the primes each was given, by
-    ``symmetric`` and ``general``, the size of every batch and the stacks
-    the batches ran in."""
-    seen = {"symmetric": [], "general": [], "batches": [], "stacks": set()}
+def packed_residues(m, primes):
+    """``_det_mod_stack_symmetric`` in a stack of its own."""
+    stack = np.empty((len(primes), _packed_size(m.shape[0])), dtype=np.float32)
+    return _det_mod_stack_symmetric(m, primes, stack)
 
-    def spy(name, routine):
-        def run(matrix, primes, stack):
-            seen[name].extend(primes)
-            seen["batches"].append(len(primes))
-            seen["stacks"].add((name, id(stack)))
-            return routine(matrix, primes, stack)
 
-        return run
+def record_lu_runs(monkeypatch):
+    """Spy on the LDL^T: the primes it was given, those it found a zero
+    pivot for before the last, the size of every batch and the stacks the
+    batches ran in."""
+    seen = {"primes": [], "dropped": [], "batches": [], "stacks": set()}
 
-    monkeypatch.setattr(spectral, "_det_mod_stack_symmetric", spy("symmetric", _det_mod_stack_symmetric))
-    monkeypatch.setattr(spectral, "_det_mod_stack", spy("general", _det_mod_stack))
+    def run(matrix, primes, stack):
+        seen["primes"].extend(primes)
+        seen["batches"].append(len(primes))
+        seen["stacks"].add(id(stack))
+        residues, zero_at = _det_mod_stack_symmetric(matrix, primes, stack)
+        seen["dropped"].extend(q for q, k in zip(primes, zero_at) if k)
+        return residues, zero_at
+
+    monkeypatch.setattr(spectral, "_det_mod_stack_symmetric", run)
     return seen
 
 
@@ -572,178 +619,225 @@ def symmetric(rng, n, spread):
     return np.tril(a) + np.tril(a, -1).T
 
 
+def first_dividing_minor(minors, n, p):
+    """The first k < n with p | D_k, or 0: where the LDL^T mod p stops."""
+    return next((k for k, d in enumerate(minors[: n - 1], 1) if d % p == 0), 0)
+
+
 # Kirchhoff minors of order 127 and 199
 COFACTOR_MEMORY_CASES = [(SEMIDIHEDRAL, 16, "commuting", "conjugacy"), (DIHEDRAL, 100, "enhanced", "equality")]
 
 
 class TestKirchhoffLU:
-    """The Kirchhoff cofactor runs a blocked modular LU on float32 stacks of
-    primes, packed to the lower triangle for symmetric input.  Storage is
-    exact while p < 2**24, and the float64 arithmetic while
-    k * (p - 1)**2 + p < 2**53, k the longest sum of products it forms
-    between two reductions."""
+    """The Kirchhoff cofactor runs a blocked modular LDL^T on float32
+    stacks of primes, packed to the lower triangle.  Storage is exact while
+    p < 2**24, and the float64 arithmetic while k * (p - 1)**2 + p < 2**53,
+    k the longest sum of products it forms between two reductions.  A prime
+    that divides a leading minor D_k, k < n, is dropped and replaced."""
 
     def test_float64_width_edge(self, monkeypatch):
         # sums of _DET_PANEL = 16 products fit 24-bit primes, with room up
-        # to 32; the cofactor takes 24-bit primes at every order, on both LUs
+        # to 32; the cofactor takes 24-bit primes at every order
         assert _DET_PANEL == 16
         assert _prime_width(16, 53) == _prime_width(32, 53) == 24
         assert _prime_width(33, 53) == 23
         assert _prime_width(2, 53) == 26 and _prime_width(3, 53) == 25
         top = max(_prime_batch(200, 24))
         assert 16 * (top - 1) ** 2 + top < 1 << 53
-        seen = record_routines(monkeypatch)
+        seen = record_lu_runs(monkeypatch)
         diagonal = np.eye(300, dtype=np.int64) * 7
         assert integer_determinant(diagonal) == 7**300
-        assert seen["symmetric"] and not seen["general"]
-        upper = diagonal + np.triu(np.ones((300, 300), dtype=np.int64), 1)
-        assert integer_determinant(upper) == 7**300
-        assert seen["general"]
-        assert all(1 << 23 < q < 1 << 24 for q in seen["symmetric"] + seen["general"])
+        assert seen["primes"] and all(1 << 23 < q < 1 << 24 for q in seen["primes"])
         # with float32 storage out of the way, the first prime past
         # 16 * (p - 1)**2 + p < 2**53 is refused by the float64 check
         _, past = edge_primes(16, 53)
         assert past < 1 << 25
         monkeypatch.setattr(spectral, "_FLOAT32_BITS", 25)
-        m = np.random.default_rng(1).integers(-9, 10, size=(20, 20))
+        m = symmetric(np.random.default_rng(1), 20, 9)
         with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack(m, [past])
-        with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack_symmetric(m + m.T, [past])
+            packed_residues(m, [past])
 
     def test_too_wide_prime_is_refused(self):
-        m = np.random.default_rng(2).integers(-9, 10, size=(20, 20))
+        m = symmetric(np.random.default_rng(2), 20, 9)
         widest = max(_prime_batch(30, 24))
-        assert _det_mod_stack(m, [widest]) == [det_mod(m % widest, widest)]
-        assert _det_mod_stack_symmetric(m + m.T, [widest]) == [det_mod((m + m.T) % widest, widest)]
+        assert packed_residues(m, [widest]) == ([det_mod(m % widest, widest)], [0])
         above = next(q for q in range(1 << 24, 1 << 25) if is_prime(q))
         with pytest.raises(AssertionError, match="float32"):
-            _det_mod_stack(m, [above])
-        with pytest.raises(AssertionError, match="float32"):
-            _det_mod_stack_symmetric(m + m.T, [above])
+            packed_residues(m, [above])
 
     @pytest.mark.parametrize("n", [2, 5, 8, 9, 15, 16, 17, 33, 70])
     def test_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
-        # under a 40-bit budget, a prime that admits the longest sum the LU
-        # forms (n - 1 in a lone panel, _DET_PANEL in a trailing update)
-        # runs exactly, and the next prime, which admits one product less,
-        # trips the run-time check
-        longest = min(n - 1, _DET_PANEL)
+        # the cofactor's prime width follows the float64 budget through the
+        # longest sum the LDL^T forms, _DET_PANEL products: under a 40-bit
+        # budget every prime it draws admits 16 products, and the cofactor
+        # of a positive definite matrix is exact at every order
         monkeypatch.setattr(spectral, "_FLOAT64_BITS", 40)
-        fits, past = edge_primes(longest, 40)
-        assert (longest - 1) * (past - 1) ** 2 + past < 1 << 40
-        m = np.random.default_rng(n).integers(-9, 10, size=(n, n))
-        primes = [fits] + _prime_batch(60, 16)
-        assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
-        with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack(m, [past])
+        seen = record_lu_runs(monkeypatch)
+        b = np.random.default_rng(n).integers(-9, 10, size=(n, n))
+        m = b @ b.T + np.eye(n, dtype=np.int64)
+        assert integer_determinant(m) == bareiss_determinant(m)
+        assert seen["primes"] and not seen["dropped"]
+        assert all(1 << 17 < q and _DET_PANEL * (q - 1) ** 2 + q < 1 << 40 for q in seen["primes"])
 
     @pytest.mark.parametrize("n", [2, 5, 15, 16, 17, 33, 70])
     def test_symmetric_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
-        # the packed LU forms the same longest sums: n - 1 in the
-        # Gauss-Jordan inversion of a lone panel, _DET_PANEL in X = A11^-1
-        # A21^T and in the trailing update
+        # under a 40-bit budget, a prime that admits the longest sum the LU
+        # forms (n - 1 in the Gauss-Jordan inversion of a lone panel,
+        # _DET_PANEL in X = A11^-1 A21^T and in the trailing update) runs
+        # exactly, and the next prime, which admits one product less, trips
+        # the run-time check
         longest = min(n - 1, _DET_PANEL)
         monkeypatch.setattr(spectral, "_FLOAT64_BITS", 40)
         fits, past = edge_primes(longest, 40)
         assert (longest - 1) * (past - 1) ** 2 + past < 1 << 40
         m = symmetric(np.random.default_rng(n), n, 9)
         primes = [fits] + _prime_batch(60, 16)
-        assert _det_mod_stack_symmetric(m, primes) == [det_mod(m % p, p) for p in primes]
+        assert packed_residues(m, primes) == ([det_mod(m % p, p) for p in primes], [0] * len(primes))
         with pytest.raises(AssertionError, match="float64"):
-            _det_mod_stack_symmetric(m, [past])
+            packed_residues(m, [past])
 
-    def test_zero_pivot_is_recomputed_by_the_general_lu(self, monkeypatch):
-        # (0, 0) is 0 mod the second prime alone, which the symmetric LU
-        # cannot pivot around; the general LU recomputes that prime only
+    def test_zero_pivot_drops_the_prime(self, monkeypatch):
+        # (0, 0) is 0 mod the second prime alone, which the LDL^T cannot
+        # pivot around: that prime is dropped and the next one drawn
         primes = _prime_batch(80, 24)[:4]
         m = symmetric(np.random.default_rng(11), 40, 50)
         m[0, 0] = 3 * primes[1]
         assert [m[0, 0] % q == 0 for q in primes] == [False, True, False, False]
-        assert [r is None for r in _det_mod_stack_symmetric(m, primes)] == [False, True, False, False]
-        seen = record_routines(monkeypatch)
-        assert _det_residues(m, primes) == [det_mod(m % q, q) for q in primes]
-        assert seen["symmetric"] == primes and seen["general"] == [primes[1]]
-        seen["general"].clear()
+        residues, zero_at = packed_residues(m, primes)
+        assert zero_at == [0, 1, 0, 0]
+        assert [residues[i] for i in (0, 2, 3)] == [det_mod(m % primes[i], primes[i]) for i in (0, 2, 3)]
+        seen = record_lu_runs(monkeypatch)
         assert integer_determinant(m) == bareiss_determinant(m)
-        assert seen["general"] == [primes[1]]
+        assert seen["dropped"] == [primes[1]]
+        # a prefix of the 24-bit primes, one longer than the CRT needs
+        bits = sum(0.5 * math.log2(s) for s in _square_norms(m, axis=1)) + 2
+        assert seen["primes"] == spectral._PRIMES[24][: len(_prime_batch(bits, 24)) + 1]
 
-    def test_anti_diagonal_permutation(self):
+    def test_anti_diagonal_permutation(self, monkeypatch):
+        # D_1 = 0 and H_1 = 1 admit no dropped prime at pivot 1: the first
+        # drop is refused, in the first batch
+        seen = record_lu_runs(monkeypatch)
         for n in (7, 40):
             m = np.fliplr(np.eye(n, dtype=np.int64))
-            assert integer_determinant(m) == (-1) ** (n * (n - 1) // 2)
+            with pytest.raises(ValueError, match="D_1 is 0: 1 primes"):
+                integer_determinant(m)
+        assert len(seen["batches"]) == 2
 
     def test_zero_leading_minors(self):
-        m = np.random.default_rng(3).integers(-5, 6, size=(24, 24))
+        m = symmetric(np.random.default_rng(3), 24, 5)
         m[:12, :12] = 0
-        assert integer_determinant(m) == bareiss_determinant(m) != 0
+        assert bareiss_determinant(m) != 0
+        with pytest.raises(ValueError, match="D_1 is 0"):
+            integer_determinant(m)
 
     def test_singular(self):
-        m = np.random.default_rng(4).integers(-5, 6, size=(30, 30))
-        m[17] = m[2] - 3 * m[9]
+        # only the last leading minor vanishes: every residue is 0, and no
+        # prime is dropped
+        rng = np.random.default_rng(4)
+        lift = np.eye(29, 30, dtype=np.int64)
+        lift[[2, 9], 29] = [1, -3]
+        m = lift.T @ symmetric(rng, 29, 5) @ lift
+        minors = leading_minors(m)
+        assert len(minors) == 30 and minors[-1] == 0 and 0 not in minors[:-1]
         primes = _prime_batch(80, 24)
-        assert _det_mod_stack(m, primes) == [0] * len(primes)
+        assert packed_residues(m, primes) == ([0] * len(primes), [0] * len(primes))
         assert integer_determinant(m) == 0
-
-    def test_pivot_from_below_the_panel(self):
-        # the leading column is 0 mod p1 down to row 39 and nonzero below,
-        # so p1 alone pivots on row 40, in the third panel; p2 and p3 need
-        # no swap there
-        p1, p2, p3 = _prime_batch(80, 24)[:3]
-        rng = np.random.default_rng(9)
-        m = rng.integers(-50, 51, size=(60, 60))
-        m[:40, 0] = p1 * rng.integers(1, 4, size=40)
-        m[40, 0] = 7
-        primes = [p2, p1, p3]
-        assert [m[0, 0] % q != 0 for q in primes] == [True, False, True]
-        assert _det_mod_stack(m, primes) == [det_mod(m % q, q) for q in primes]
-        assert integer_determinant(m) == bareiss_determinant(m)
 
     def test_primes_dividing_the_determinant(self, monkeypatch):
         n = 12
         p1, p2 = _prime_batch(60, 24)[:2]
         m = np.diag([p1, p2] + [1] * (n - 2))
-        seen = record_routines(monkeypatch)
+        seen = record_lu_runs(monkeypatch)
         assert integer_determinant(m) == p1 * p2
-        # p1 and p2 leave zero pivots, so the symmetric LU hands them to the
-        # general one, which finds no pivot in their columns either
-        assert seen["symmetric"][:2] == [p1, p2] and len(seen["symmetric"]) == 3
-        assert seen["general"] == [p1, p2]
-        third = seen["symmetric"][2]
-        assert _det_mod_stack_symmetric(m, seen["symmetric"]) == [None, None, p1 * p2 % third]
-        assert _det_mod_stack(m, seen["symmetric"]) == [0, 0, p1 * p2 % third]
-        # the same determinant without symmetry runs the general LU alone
-        seen["symmetric"].clear()
-        seen["general"].clear()
+        # p1 divides D_1 and p2 divides D_2: both are dropped, each within
+        # its pivot's bound, and two more primes drawn in their place
+        assert seen["dropped"] == [p1, p2]
+        assert seen["primes"] == spectral._PRIMES[24][:5] and seen["batches"] == [3, 2]
+        residues, zero_at = packed_residues(m, seen["primes"][:3])
+        assert zero_at == [1, 2, 0] and residues[2] == p1 * p2 % seen["primes"][2]
+        # at the last pivot a zero is the residue 0, not a drop
+        seen["primes"].clear()
+        seen["dropped"].clear()
+        last = np.diag([1] * (n - 1) + [p1 * p2])
+        assert integer_determinant(last) == p1 * p2
+        assert seen["primes"][:2] == [p1, p2] and not seen["dropped"]
+        # without symmetry the input is refused before any stack is run
         m[0, 1] = 5
-        assert integer_determinant(m) == p1 * p2
-        assert not seen["symmetric"] and len(seen["general"]) == 3
+        seen["batches"].clear()
+        with pytest.raises(ValueError, match="symmetric"):
+            integer_determinant(m)
+        assert not seen["batches"]
+
+    def test_drop_bound_edge(self, monkeypatch):
+        # 10-bit primes lie in (512, 1024), so at most
+        # floor(log2(H_1) / 9) of them divide D_1 when it is not 0
+        monkeypatch.setattr(spectral, "_FLOAT32_BITS", 10)
+        p1, p2, p3 = spectral._ensure_primes(10, 3)[:3]
+        seen = record_lu_runs(monkeypatch)
+        for a, dropped in ((p1 * p2, 2), (p1 * p2 * p3, 3)):
+            h1 = math.hypot(a, 1)
+            assert int(math.log2(h1) // 9) == dropped
+            seen["dropped"].clear()
+            assert integer_determinant(np.array([[a, 1], [1, 1]])) == a - 1
+            assert seen["dropped"] == [p1, p2, p3][:dropped]
+        # D_1 = 0 with the same H_1 drops every prime at pivot 1: the
+        # third drop is one past the bound, and proves D_1 = 0
+        with pytest.raises(ValueError, match="D_1 is 0: 3 primes of 10 bits"):
+            integer_determinant(np.array([[0, p1 * p2], [p1 * p2, 1]]))
 
     @staticmethod
-    def check_batches(routine, m, budget, monkeypatch):
-        seen = record_routines(monkeypatch)
+    def check_batches(m, monkeypatch):
+        seen = record_lu_runs(monkeypatch)
         for per_stack in (1, 3):
-            seen["batches"].clear()
-            seen["stacks"].clear()
-            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", budget(40, per_stack))
+            for key in ("primes", "dropped", "batches", "stacks"):
+                seen[key].clear()
+            monkeypatch.setattr(spectral, "_DET_STACK_BYTES", packed_stack_bytes(40, per_stack))
             assert integer_determinant(m) == bareiss_determinant(m)
             sizes = seen["batches"]
-            assert set(sizes[:-1]) == {per_stack}
-            # one stack per call, reused for every batch, and no other LU
-            assert len(seen["stacks"]) == 1 and seen["stacks"].pop()[0] == routine
-        assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
+            assert set(sizes[:-1]) == {per_stack} and sizes[-1] <= per_stack
+            # one stack per call, reused for every batch
+            assert len(seen["stacks"]) == 1
+        return seen
 
     def test_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
+        # the first two primes divide D_1, so their replacements run in
+        # later batches of the same stack
+        p1, p2 = _prime_batch(60, 24)[:2]
         m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
-        self.check_batches("general", m, stack_bytes, monkeypatch)
+        m = m + m.T
+        m[0, 0] = p1 * p2
+        seen = self.check_batches(m, monkeypatch)
+        assert seen["dropped"] == [p1, p2]
+        bits = sum(0.5 * math.log2(s) for s in _square_norms(m, axis=1)) + 2
+        assert seen["primes"] == _prime_batch(bits + math.log2(p1 * p2), 24)
+        assert len(seen["primes"]) > len(_prime_batch(bits, 24))
 
     def test_symmetric_batches_that_do_not_divide_the_prime_count(self, monkeypatch):
         m = np.random.default_rng(8).integers(-50, 51, size=(40, 40))
-        self.check_batches("symmetric", m + m.T, packed_stack_bytes, monkeypatch)
+        sizes = self.check_batches(m + m.T, monkeypatch)["batches"]
+        assert sum(sizes) % 3 != 0 and sizes[-1] == sum(sizes) % 3
 
-    def test_object_entries_beyond_int64(self):
-        m = np.array([[2**70, 3], [5, 2**65 + 1]], dtype=object)
-        assert integer_determinant(m) == 2**70 * (2**65 + 1) - 15
+    def test_object_entries_beyond_int64(self, monkeypatch):
+        # object input is refused, however exact its entries, before any
+        # stack is run
+        seen = record_lu_runs(monkeypatch)
+        for m in ([[2**70, 3], [3, 2**65 + 1]], [[2, 1], [1, 2]]):
+            with pytest.raises(ValueError, match="int64"):
+                integer_determinant(np.array(m, dtype=object))
+        assert not seen["batches"]
+
+    def test_structural_refusals_allocate_nothing(self):
+        m = symmetric(np.random.default_rng(6), 200, 9)
+        m[199, 0] += 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="symmetric"):
+                integer_determinant(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 64-row blocks of the symmetry test, far below one stack
+        assert peak < spectral._DET_STACK_BYTES // 8, peak
 
     def test_square_norms_int64_edge(self):
         # n * max|a|**2 < 2**63 sums in int64; at 2**63 it switches to ints
@@ -761,13 +855,13 @@ class TestKirchhoffLU:
         assert spanning_tree_count(graph, method="both") > 0
 
     @staticmethod
-    def check_peak(family, n, base, relation, recompute, monkeypatch):
+    def check_peak(family, n, base, relation, drop, monkeypatch):
         minor = laplacian(named_super_graph(build_group(family, n), base, relation))[1:, 1:]
         changed = minor.copy()
         first = _prime_batch(30, 24)[0]
-        if recompute:
+        if drop:
             changed[0, 0] = first
-        seen = record_routines(monkeypatch)
+        seen = record_lu_runs(monkeypatch)
         tracemalloc.start()
         try:
             det = integer_determinant(changed)
@@ -775,7 +869,7 @@ class TestKirchhoffLU:
         finally:
             tracemalloc.stop()
         assert peak <= spectral._DET_STACK_BYTES, peak
-        assert seen["symmetric"] and seen["general"] == ([first] if recompute else [])
+        assert seen["dropped"] == ([first] if drop else [])
         # expansion along the changed entry
         delta = int(changed[0, 0] - minor[0, 0])
         expected = integer_determinant(minor) + delta * integer_determinant(minor[1:, 1:])
@@ -788,36 +882,10 @@ class TestKirchhoffLU:
         self.check_peak(family, n, base, relation, False, monkeypatch)
 
     @pytest.mark.parametrize("family,n,base,relation", COFACTOR_MEMORY_CASES)
-    def test_memory_peak_with_a_prime_recomputed(self, family, n, base, relation, monkeypatch):
-        # (0, 0) is set to the first prime of the batch, which the general
-        # LU then recomputes in its own stack, allocated once the packed
-        # one is freed
+    def test_memory_peak_with_a_prime_dropped(self, family, n, base, relation, monkeypatch):
+        # (0, 0) is set to the first prime of the batch, which divides D_1:
+        # it is dropped and its replacement runs in the same stack
         self.check_peak(family, n, base, relation, True, monkeypatch)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=70),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    spread=st.sampled_from([1, 7, 1000, 2**30]),
-    zeros=st.sampled_from([0.0, 0.6, 0.95]),
-    dependent=st.booleans(),
-    per_stack=st.sampled_from([1, 2, 3, 5]),
-)
-@example(n=70, seed=1, spread=7, zeros=0.6, dependent=False, per_stack=3)
-@example(n=70, seed=2, spread=2**30, zeros=0.0, dependent=False, per_stack=1)
-def test_kirchhoff_lu_matches_oracles(n, seed, spread, zeros, dependent, per_stack):
-    rng = np.random.default_rng(seed)
-    m = rng.integers(-spread, spread + 1, size=(n, n))
-    m[rng.random((n, n)) < zeros] = 0
-    if dependent and n > 1:
-        m[rng.integers(n)] = m[0] - m[n - 1]
-    primes = _prime_batch(30 * n, 24)
-    assert _det_mod_stack(m, primes) == [det_mod(m % p, p) for p in primes]
-    assert _det_mod_stack(m, primes[:1]) == [det_mod(m % primes[0], primes[0])]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral, "_DET_STACK_BYTES", stack_bytes(n, per_stack))
-        assert integer_determinant(m) == bareiss_determinant(m)
 
 
 def laplacian_minor(rng, n):
@@ -825,6 +893,17 @@ def laplacian_minor(rng, n):
     adj = np.triu(rng.random((n + 1, n + 1)) < rng.random(), 1)
     adj = adj | adj.T
     return (np.diag(adj.sum(axis=1)) - adj)[1:, 1:]
+
+
+def narrow_width(bits):
+    """The narrowest prime width from 10 bits whose primes multiply to more
+    than 2**(2 * bits + 100): the Hadamard bound, and as many bits again for
+    the primes dropped at a vanishing D_k before it is refused."""
+    for width in range(10, 14):
+        supply = sum(math.log2(q) for q in spectral._small_primes() if q.bit_length() == width)
+        if supply > 2 * bits + 100:
+            return width
+    raise AssertionError(f"no width up to 13 bits covers {bits:.0f} bits")
 
 
 @settings(max_examples=40, deadline=None)
@@ -839,6 +918,7 @@ def laplacian_minor(rng, n):
 @example(n=70, seed=1, kind="laplacian", spread=1, narrow=False, per_stack=3)
 @example(n=70, seed=2, kind="symmetric", spread=2**30, narrow=False, per_stack=1)
 @example(n=70, seed=3, kind="gram", spread=1, narrow=True, per_stack=2)
+@example(n=70, seed=4, kind="laplacian", spread=1, narrow=True, per_stack=5)
 def test_symmetric_kirchhoff_lu_matches_oracles(n, seed, kind, spread, narrow, per_stack):
     rng = np.random.default_rng(seed)
     if kind == "gram":
@@ -853,17 +933,24 @@ def test_symmetric_kirchhoff_lu_matches_oracles(n, seed, kind, spread, narrow, p
             r = int(rng.integers(1, n))
             m[r] = m[0]
             m[:, r] = m[:, 0]
-    # primes near 100 meet zero pivots often, so the recompute path runs
-    primes = [101, 103, 107, 109, 113] if narrow else _prime_batch(30 * n, 24)
-    expected = [det_mod(m % p, p) for p in primes]
-    # the symmetric LU alone is exact on every prime it keeps, and the
-    # general LU completes the rest
-    packed = _det_mod_stack_symmetric(m, primes)
-    assert all(r is None or r == e for r, e in zip(packed, expected))
-    assert _det_residues(m, primes) == expected
+    # 10-bit primes divide leading minors often, so primes are dropped
+    bits = sum(0.5 * math.log2(max(1, s)) for s in _square_norms(m, axis=1))
+    width = narrow_width(bits) if narrow else 24
+    minors = leading_minors(m)
+    primes = spectral._ensure_primes(10, 75)[:75] if narrow else _prime_batch(30 * n, 24)
+    # the LDL^T alone is exact on every prime it keeps, and stops at the
+    # first leading minor that the prime divides
+    residues, zero_at = packed_residues(m, primes)
+    assert zero_at == [first_dividing_minor(minors, n, p) for p in primes]
+    assert all(k or r == det_mod(m % p, p) for p, r, k in zip(primes, residues, zero_at))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_DET_STACK_BYTES", packed_stack_bytes(n, per_stack))
-        assert integer_determinant(m) == bareiss_determinant(m)
+        patch.setattr(spectral, "_FLOAT32_BITS", width)
+        if 0 in minors[: n - 1]:
+            with pytest.raises(ValueError, match="D_"):
+                integer_determinant(m)
+        else:
+            assert integer_determinant(m) == bareiss_determinant(m) == minors[-1]
 
 
 def full_path(lap):
@@ -916,7 +1003,7 @@ class TestTwinQuotient:
     )
     def test_graph_laplacian_refusals(self, m, is_laplacian):
         m = np.array(m, dtype=np.int64)
-        assert _is_graph_laplacian(m) is is_laplacian
+        assert _is_graph_laplacian(m, m == -1) is is_laplacian
         if not is_laplacian:
             assert _twin_quotient(m)[0] is m
 
