@@ -54,9 +54,11 @@ class SimpleGraph:
         a = self.adjacency
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        if a.dtype != np.bool_:
-            object.__setattr__(self, "adjacency", a.astype(bool))
-            a = self.adjacency
+        # row-wise consumers (packbits in the twin quotient and the lift)
+        # read contiguous rows only from a C-ordered array
+        if a.dtype != np.bool_ or not a.flags.c_contiguous:
+            a = np.ascontiguousarray(a, dtype=bool)
+            object.__setattr__(self, "adjacency", a)
         if np.any(np.diagonal(a)):
             raise ValueError("self-loops are not allowed")
         if not _is_symmetric(a):

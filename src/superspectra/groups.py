@@ -8,8 +8,10 @@ once) gives the element orders as row sums, the cyclic subgroups as its
 distinct rows and the maximal ones by one covering test per element order.
 Conjugacy classes are the orbits of conjugation by the generators a and b,
 each labelled by its least member through pointer doubling.
+The product table is uint16, which holds every index below 2^16.
 ``build_group`` refuses an order whose product and membership tables would
-exceed a fixed memory budget, before allocating either.
+exceed a fixed memory budget (orders above 18918), or whose indices uint16
+cannot hold, before allocating either.
 
 Element indexing is canonical across the package: the rotations
 ``a^0 .. a^{k-1}`` occupy indices ``0 .. k-1`` (k = n, 2n, 4n for the
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterOutOfRange
 
@@ -35,9 +38,13 @@ FAMILIES = (DIHEDRAL, QUATERNION, SEMIDIHEDRAL, CYCLIC)
 
 _MIN_N = {DIHEDRAL: 3, QUATERNION: 2, SEMIDIHEDRAL: 2, CYCLIC: 1}
 
-# Bytes allowed for one group's N x N int64 product table plus the N x N
-# bool membership table of the whole-table queries: orders up to 10922.
+# Bytes allowed for one group's N x N uint16 product table plus the N x N
+# bool membership table of the whole-table queries: orders up to 18918.
 _TABLE_BUDGET_BYTES = 1 << 30
+
+# The product table stores element indices 0..N-1, so its dtype bounds the
+# order whatever the budget admits: 2^16.
+_PRODUCT_DTYPE = np.uint16
 
 
 def _rotation_label(i: int) -> str:
@@ -112,9 +119,9 @@ class GroupTable:
 
 
 def _table_bytes(order: int) -> int:
-    """Bytes of the N x N int64 product table plus the N x N bool
+    """Bytes of the N x N uint16 product table plus the N x N bool
     membership table for a group of order N."""
-    return order * order * (np.dtype(np.int64).itemsize + np.dtype(np.bool_).itemsize)
+    return order * order * (np.dtype(_PRODUCT_DTYPE).itemsize + np.dtype(np.bool_).itemsize)
 
 
 def build_group(family: str, n: int) -> GroupTable:
@@ -123,7 +130,9 @@ def build_group(family: str, n: int) -> GroupTable:
     The multiplication rules are the closed forms obtained by normalising
     words to ``a^i`` / ``a^i b``; correctness is guarded by the exhaustive
     axiom check (:func:`verify_group_axioms`) rather than trusted.  Orders
-    whose tables exceed the memory budget are refused before any allocation.
+    above 2^16, or whose tables exceed the memory budget, are refused before
+    any allocation.  The product table is uint16: cast its entries before
+    doing arithmetic on them.
     """
     if family not in FAMILIES:
         raise ParameterOutOfRange(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -144,30 +153,44 @@ def build_group(family: str, n: int) -> GroupTable:
             f"{family} n={n} has order {order}; its tables need {_table_bytes(order)} bytes, "
             f"over the {_TABLE_BUDGET_BYTES}-byte budget"
         )
+    max_order = int(np.iinfo(_PRODUCT_DTYPE).max) + 1
+    if order > max_order:
+        raise ParameterOutOfRange(
+            f"{family} n={n} has order {order}; the {np.dtype(_PRODUCT_DTYPE).name} "
+            f"product table holds orders up to {max_order}"
+        )
 
-    # the blocks are written in place: a k x k temporary per block would
-    # take the build's peak above the admission estimate
-    i = np.arange(k, dtype=np.int64)
-    product = np.empty((order, order), dtype=np.int64)
+    # Every block is copied from windows of w, the rotation indices laid
+    # out three times (w[t] = t mod k, so window i reads (i + j) mod k over
+    # j < k), and offset by k in place where it holds reflections.  No sum
+    # is reduced mod k afterwards, so no value at any step exceeds N - 1,
+    # and no k x k temporary exists.
+    i = np.arange(k, dtype=_PRODUCT_DTYPE)
+    windows = sliding_window_view(np.concatenate((i, i, i)), k)
+
+    def descending(shift: int) -> np.ndarray:
+        """(i - j + shift) mod k at [i, j], which is w[i + shift + k - j]."""
+        return windows[shift + 1 : shift + 1 + k, ::-1]
+
+    product = np.empty((order, order), dtype=_PRODUCT_DTYPE)
     rot_rot = product[:k, :k]
-    np.add(i[:, None], i, out=rot_rot)
-    np.remainder(rot_rot, k, out=rot_rot)
+    np.copyto(rot_rot, windows[:k])
 
     if family == CYCLIC:
         labels = tuple(_rotation_label(int(x)) for x in range(k))
     else:
         rot_refl, refl_rot, refl_refl = product[:k, k:], product[k:, :k], product[k:, k:]
         np.add(rot_rot, k, out=rot_refl)
+        # b * a^j = a^-j * b, except in the semidihedral group, where
+        # b * a^j = a^{j(2n-1)} * b and j(2n-1) = -j + 2n(j mod 2) mod 4n
         if family == SEMIDIHEDRAL:
-            # b * a^j = a^{j(2n-1)} * b, and b^2 = e
-            np.add(i[:, None], (2 * n - 1) * i, out=refl_refl)
+            np.copyto(refl_refl[:, 0::2], descending(0)[:, 0::2])
+            np.copyto(refl_refl[:, 1::2], descending(2 * n)[:, 1::2])
         else:
-            np.subtract(i[:, None], i, out=refl_refl)
-        np.remainder(refl_refl, k, out=refl_refl)
+            np.copyto(refl_refl, descending(0))
         np.add(refl_refl, k, out=refl_rot)
         if family == QUATERNION:
-            np.add(refl_refl, n, out=refl_refl)
-            np.remainder(refl_refl, k, out=refl_refl)
+            np.copyto(refl_refl, descending(n))  # b^2 = a^n
         labels = tuple(_rotation_label(int(x)) for x in range(k)) + tuple(
             _reflection_label(int(x)) for x in range(k)
         )

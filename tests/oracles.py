@@ -6,7 +6,8 @@ enumeration for spanning trees, the literal existential definition for
 super-graph lifts, Fraction-based and fraction-free (Bareiss) elimination
 for rank, the spectrum read off kernel dimensions, schoolbook products of
 integer polynomials, per-prime int64 and Bareiss elimination for
-determinants, the per-element group queries and pair-loop composition that
+determinants, the Cayley table by rewriting words in the presentation,
+the per-element group queries and pair-loop composition that
 the library's whole-table versions replaced, the edge-counting product
 lift and all-conjugators class scan that its boolean OR-reduction lift and
 generator-orbit classes replaced, and the structural graph as a composition
@@ -516,6 +517,28 @@ def _partition_from_blocks(n: int, blocks: list[tuple[int, ...]]) -> Partition:
         for g in block:
             block_of[g] = bid
     return Partition(block_of=block_of, blocks=tuple(blocks))
+
+
+def product_table_by_words(family: str, n: int) -> np.ndarray:
+    """The Cayley table on the canonical indexing (a^i b^e at i + e*k),
+    from the presentation alone.  Each product of two normal forms is
+    rewritten in Python ints, one pair at a time: b moves past a^j by
+    b a b^-1 = a^t (t = -1, or 2n - 1 in the semidihedral group), b^2 becomes
+    a^s (s = n in the quaternion group, else 0), and a^k = e."""
+    k, t, s = {"cyclic": (n, 1, 0), "dihedral": (n, -1, 0),
+               "quaternion": (2 * n, -1, n), "semidihedral": (4 * n, 2 * n - 1, 0)}[family]
+    words = [(i, e) for e in range(1 if family == "cyclic" else 2) for i in range(k)]
+    rows = []
+    for i, e in words:
+        row = []
+        for j, f in words:
+            # a^i b^e a^j b^f = a^(i + j t^e) b^(e + f)
+            power, reflections = i + j * t**e, e + f
+            if reflections == 2:
+                power, reflections = power + s, 0
+            row.append(power % k + reflections * k)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 def conjugacy_classes_by_orbits(table) -> Partition:

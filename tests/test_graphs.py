@@ -468,3 +468,24 @@ def test_lift_memory_peak(base, family, divisor, order):
         tracemalloc.stop()
     assert lifted.vertex_count == order
     assert peak <= 2 * order * order, peak / order**2
+
+
+@pytest.mark.parametrize("base,family,divisor", BUILD_LIFTS)
+def test_pipeline_memory_peak(base, family, divisor):
+    # build -> classes -> base graph -> lift at order 2000, traced as one:
+    # 2 N^2 for the uint16 product table, 1 N^2 for the membership table,
+    # the base graph and the lift at 1 N^2 each, and the lift's transients.
+    # Measured 5.42 N^2 for the enhanced-power lifts and 4.42 N^2 for the
+    # commuting one, so the bound leaves 0.58 N^2 of headroom; with an
+    # int64 product table the same pipeline peaked at 11.42 N^2
+    order = 2000
+    tracemalloc.start()
+    try:
+        table = build_group(family, order // divisor)
+        classes = conjugacy_classes(table)
+        lifted = super_graph(_BASE_GRAPHS[base](table), classes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lifted.vertex_count == order
+    assert peak <= 6 * order * order, peak / order**2

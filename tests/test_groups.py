@@ -32,6 +32,7 @@ from oracles import (
     conjugacy_classes_by_orbits,
     cyclic_subgroups_by_powers,
     order_partition_by_element_order,
+    product_table_by_words,
 )
 
 SMALL_SWEEP = (
@@ -97,6 +98,33 @@ class TestBuildGroup:
     )
     def test_axioms_exhaustive_at_order_400(self, family, n):
         verify_group_axioms(build_group(family, n))
+
+    @pytest.mark.parametrize(
+        "family,n",
+        # SD n >= 91 is where (2n - 1)(k - 1) passes 2^16, and i - j
+        # underflows in D and Q at every n, so a uint16 build that reduced
+        # either mod k only afterwards would wrap; D, Q and C also at their
+        # largest n in ORACLE_SWEEP
+        SMALL_SWEEP + [(SEMIDIHEDRAL, 91), (SEMIDIHEDRAL, 100), (DIHEDRAL, 80), (QUATERNION, 40),
+                       (CYCLIC, 160)],
+    )
+    def test_table_matches_the_presentation(self, family, n):
+        table = build_group(family, n)
+        assert table.product.dtype == np.uint16
+        assert np.array_equal(table.product, product_table_by_words(family, n))
+        verify_group_axioms(table)
+
+    def test_tables_fill_their_dtype(self, monkeypatch):
+        # a uint8 table holds orders up to 256, as uint16 holds 2^16: the
+        # build computes no entry above N - 1, so each family fits at the
+        # edge, and the next order is refused
+        monkeypatch.setattr(groups, "_PRODUCT_DTYPE", np.uint8)
+        for family, n in ((DIHEDRAL, 128), (QUATERNION, 64), (SEMIDIHEDRAL, 32), (CYCLIC, 256)):
+            table = build_group(family, n)
+            assert table.product.dtype == np.uint8
+            assert np.array_equal(table.product, product_table_by_words(family, n))
+            with pytest.raises(ParameterOutOfRange, match="uint8 product table holds orders up to 256"):
+                build_group(family, n + 1)
 
 
 class TestElementOrder:
@@ -336,12 +364,12 @@ def test_conjugacy_classes_memory_peak(family, n):
 
 class TestMemoryAdmission:
     def test_estimate_counts_the_product_and_membership_tables(self):
-        assert _table_bytes(2000) == 2000 * 2000 * (8 + 1)
+        assert _table_bytes(2000) == 2000 * 2000 * (2 + 1)
 
     def test_budget_edge(self):
-        edge = math.isqrt(_TABLE_BUDGET_BYTES // 9)
+        edge = math.isqrt(_TABLE_BUDGET_BYTES // 3)
         assert _table_bytes(edge) <= _TABLE_BUDGET_BYTES < _table_bytes(edge + 1)
-        assert edge >= 2000
+        assert edge == 18918
         with pytest.raises(ParameterOutOfRange, match="budget"):
             build_group(CYCLIC, edge + 1)
 
@@ -371,6 +399,17 @@ class TestMemoryAdmission:
         try:
             with pytest.raises(ParameterOutOfRange, match="budget"):
                 build_group(SEMIDIHEDRAL, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_uint16_range_is_refused_whatever_the_budget(self, monkeypatch):
+        monkeypatch.setattr(groups, "_TABLE_BUDGET_BYTES", 1 << 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterOutOfRange, match="uint16 product table holds orders up to 65536"):
+                build_group(DIHEDRAL, 2**15 + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

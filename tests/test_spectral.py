@@ -121,9 +121,19 @@ class TestLaplacian:
          graph_from_edges(1, []), graph_from_edges(0, [])],
     )
     def test_degree_matrix_minus_adjacency(self, graph):
+        assert graph.adjacency.flags.c_contiguous
         lap = laplacian(graph)
         assert lap.dtype == np.int64
         assert np.array_equal(lap, np.diag(graph.degrees()) - graph.adjacency.astype(np.int64))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [csep(SEMIDIHEDRAL, 5), named_super_graph(build_group(QUATERNION, 3), "power", "conjugacy")],
+    )
+    def test_fortran_ordered_adjacency_is_stored_in_c_order(self, graph):
+        fortran = SimpleGraph(np.asfortranarray(graph.adjacency))
+        assert fortran.adjacency.flags.c_contiguous
+        assert analyze(fortran) == analyze(graph)
 
 
 class TestLaplacianBlockStructure:
