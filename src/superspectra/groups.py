@@ -195,8 +195,15 @@ def build_group(family: str, n: int) -> GroupTable:
             _reflection_label(int(x)) for x in range(k)
         )
 
-    # each row is a permutation, so its least entry is the identity, 0
-    inverse = np.argmin(product, axis=1).astype(np.int64)
+    # a^-i = a^(k - i); (a^i b)^-1 = a^j b with a^i b a^j b = 1, which is
+    # a^(i - j) in the dihedral group (j = i), a^(i - j + n) in the
+    # quaternion group (j = i + n) and a^(i + j(2n - 1)) in the semidihedral
+    # group (j = i + 2n (i mod 2), as (2n - 1)^2 = 1 mod 4n)
+    r = np.arange(k, dtype=np.int64)
+    inverse = (k - r) % k
+    if family != CYCLIC:
+        shift = {DIHEDRAL: 0, QUATERNION: n, SEMIDIHEDRAL: 2 * n * (r % 2)}[family]
+        inverse = np.concatenate((inverse, k + (r + shift) % k))
     return GroupTable(family=family, parameter=n, product=product, inverse=inverse, labels=labels)
 
 

@@ -19,7 +19,9 @@ blocked LDL^T with no row swaps over a float32 stack that holds the packed
 lower triangle of the minor for a batch of primes, allocated once per call
 and about 1.5 MB with its float64 temporaries.  Per 16-column panel,
 Gauss-Jordan on the diagonal block in float64 gives its pivots and
-inverse, and each later row block takes its Schur complement up to its
+inverse, two pivots per step: a 2 x 2 pivot block is inverted through its
+determinant, one modular inverse per prime, and the block takes one
+rank-2 update.  Each later row block takes its Schur complement up to its
 diagonal, one batched float64 matmul on BLAS and one reduction mod p.  The
 leading minors of a connected graph's Kirchhoff minor count rooted
 spanning forests (the all-minors matrix-tree theorem), so none is 0, and a
@@ -74,10 +76,10 @@ _INT64_BITS = 63  # int64 holds every integer below 2**63
 _FLOAT64_BITS = 53  # float64 holds every integer below 2**53 exactly
 _FLOAT32_BITS = 24  # float32 holds every integer below 2**24 exactly
 _DET_PANEL = 16  # Kirchhoff LU panel width, and rows per block of its trailing update
-# float32 residue stack of one batch of primes with its float64 temporaries:
-# 4 * _packed_size(n) + 40 * _DET_PANEL * n bytes per prime, 7 primes at
-# order 200 and 13 at 128.  Larger stacks raise peak RSS (2 MB float64
-# stacks: +10% on a catalog sweep).
+# float32 residue stack of one batch of primes with its float64 temporaries,
+# as _det_stack_primes counts them: 9 primes at order 200 and 17 at 128.
+# Larger stacks raise peak RSS (2 MB float64 stacks: +10% on a catalog
+# sweep).
 _DET_STACK_BYTES = 3 << 19
 
 
@@ -325,12 +327,12 @@ def _hessenberg_charpoly(h: np.ndarray, p: int) -> np.ndarray:
 
 def _square_norms(m: np.ndarray, axis: int) -> list[int]:
     """Exact squared Euclidean norms of the rows (axis=1) or the columns
-    (axis=0) of a nonempty matrix, summed in int64 when n * max|a|**2 < 2**63
-    and in Python ints otherwise."""
+    (axis=0) of a nonempty matrix, summed in int64 with no N x N product
+    when n * max|a|**2 < 2**63, and in Python ints otherwise."""
     if m.dtype != object:
         top = max(-int(m.min()), int(m.max()))
         if m.shape[axis] * top * top < 1 << _INT64_BITS:
-            return (m * m).sum(axis=axis).tolist()
+            return np.einsum("ij,ij->i" if axis else "ij,ij->j", m, m).tolist()
     m = m.astype(object)
     return (m * m).sum(axis=axis).tolist()
 
@@ -407,9 +409,10 @@ def _check_float64_sums(length: int, top: int) -> None:
         raise AssertionError("sum of products too long for exact float64 arithmetic")
 
 
-def _reduce(c: np.ndarray, p: np.ndarray, p_inv: np.ndarray) -> None:
-    """c <- c - rint(c / p) * p in place, which leaves |c| <= p/2 + 2."""
-    q = c * p_inv
+def _reduce(c: np.ndarray, p: np.ndarray, p_inv: np.ndarray, q: np.ndarray) -> None:
+    """c <- c - rint(c / p) * p in place, through the scratch q of c's
+    shape, which leaves |c| <= p/2 + 2."""
+    np.multiply(c, p_inv, out=q)
     np.rint(q, out=q)
     q *= p
     c -= q
@@ -422,6 +425,37 @@ def _packed_size(n: int) -> int:
     return sum((min(r0 + b, n) - r0) * min(r0 + b, n) for r0 in range(0, n, b))
 
 
+def _det_span(n: int) -> int:
+    """Columns of the float64 scratch panels of the Kirchhoff LU at order
+    n: -X and the update blocks reach at most the n - b columns right of
+    the first panel, b = ``_DET_PANEL``, and a diagonal block needs b."""
+    return max(n - _DET_PANEL, _DET_PANEL)
+
+
+def _det_stack_primes(n: int, budget: int) -> int:
+    """Primes per Kirchhoff batch at order n within ``budget`` bytes.  Each
+    takes the packed float32 triangle, three float64 scratch panels of
+    ``_DET_PANEL`` rows and ``_det_span(n)`` columns and two float64 b x b
+    blocks (the diagonal block and the float64 copy of an A21 block that a
+    matmul makes).  The batch shares one ufunc buffer of
+    ``np.getbufsize()`` float64, which numpy fills when it broadcasts the
+    primes, and 64 bytes per row for the call's lists and block views, as
+    measured by tracemalloc."""
+    b = _DET_PANEL
+    shared = 8 * np.getbufsize() + 64 * n
+    return (budget - shared) // (4 * _packed_size(n) + 8 * b * (3 * _det_span(n) + 2 * b))
+
+
+def _det3(e: list[list[float]]) -> int:
+    """Exact determinant of a symmetric 3 x 3 block of integral floats."""
+    (a, b, c), (_, d, f), (_, _, g) = ([int(x) for x in row] for row in e)
+    return a * (d * g - f * f) - b * (b * g - f * c) + c * (b * f - d * c)
+
+
+# minus the adjugate of a symmetric 2 x 2 block [[a, b], [b, c]], read reversed
+_NEGATED_ADJUGATE = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
 def _det_mod_stack_symmetric(m: np.ndarray, primes: list[int], stack: np.ndarray) -> tuple[list[int], list[int]]:
     """det m mod p for each prime, for symmetric m: blocked LDL^T with no
     row swaps over the packed lower triangle, one prime per row of the
@@ -429,24 +463,38 @@ def _det_mod_stack_symmetric(m: np.ndarray, primes: list[int], stack: np.ndarray
 
     Row block i of the packed layout holds columns 0 .. min(b (i + 1), n),
     b = ``_DET_PANEL``, so each b x b diagonal block is stored in full.
-    Per panel, Gauss-Jordan in float64 inverts the diagonal block A11 in
-    place, its pivots being those of the elimination; X = A11^-1 A21^T,
-    and each later row block takes the Schur complement A22 - A21 X from
-    column j1 up to its own diagonal, which keeps the trailing matrix
-    symmetric.  Columns left of the panel are never read again.
+    Per panel, Gauss-Jordan in float64 turns the diagonal block A11 into
+    -A11^-1 in place; -X = -A11^-1 A21^T, and each later row block takes
+    the Schur complement A22 - A21 X from column j1 up to its own diagonal,
+    which keeps the trailing matrix symmetric.  Columns left of the panel
+    are never read again.
 
-    With no swaps the k-th pivot is D_k / D_(k-1) mod p, D_k the k-th
-    leading principal minor.  Returns the residues and, for each prime, the
-    first k < n with p | D_k, whose residue is then invalid, or 0.  A zero
-    at the last pivot is det m = 0 mod p, a valid residue.
+    The Gauss-Jordan sweeps two pivots per step.  With the rows of the
+    swept pivots negated the block stays symmetric, so the rows of the next
+    two pivots are their reduced columns C, transposed.  Their 2 x 2 block
+    [[a, b], [b, c]] has determinant d = ac - b**2, and one inverse of d
+    per prime gives the block's inverse, adj / d; the rows, multiplied by
+    it, take the whole block through one rank-2 update.  The last step of
+    the matrix takes its last one, two or three pivots as one block and
+    needs no inverse and no update.
+
+    With no swaps, the pivots k + 1 and k + 2 have a = D_(k+1) / D_k and
+    d = D_(k+2) / D_k mod p, D_k the k-th leading principal minor, and a
+    last block of three has determinant D_(k+3) / D_k.  Returns the
+    residues, each the product of the d and of the last block's
+    determinant, and, for each prime, the first k < n with p | D_k, whose
+    residue is then invalid, or 0.  A zero at the last pivot is
+    det m = 0 mod p, a valid residue.
 
     Exactness: the reduction leaves |r| <= p/2 + 2, so a residue is zero
     exactly when it is 0 mod p, and float32 stores every residue exactly
-    while p < 2**24.  Between two reductions an entry gathers at most k
-    products of two reduced factors: k = w - 1 in the Gauss-Jordan of a
-    panel of width w, k = w in X and in the trailing update.  It and its
-    rounding product then stay below k * (p - 1)**2 + p for p > 16, which
-    is checked against 2**53 before each such sum is formed.
+    while p < 2**24.  Between two reductions an entry gathers w products of
+    two reduced factors in X and in the trailing update, for a panel of
+    width w, and fewer than w in its Gauss-Jordan, two per step.  Such a
+    sum and its rounding product stay below w * (p - 1)**2 + p for
+    p > 16, which is checked against 2**53 for each panel.  A 2 x 2
+    determinant of reduced entries stays below 2**47 in float64, and the
+    last block's 3 x 3 one is taken in Python ints.
     """
     n = m.shape[0]
     top = max(primes)
@@ -464,44 +512,62 @@ def _det_mod_stack_symmetric(m: np.ndarray, primes: list[int], stack: np.ndarray
         offset += (r1 - r0) * r1
     p = np.array(primes, dtype=np.float64)[:, None, None]
     p_inv = 1.0 / p
-    zero_at = np.zeros(count, dtype=np.int64)
-    diagonal = np.empty((count, n))
+    # -X, the update blocks (A21, before -X is formed) and the reduction's
+    # quotients, each in a float64 panel reused by every panel
+    x_buf, c_buf, q_buf = np.empty((3, count * _DET_PANEL * _det_span(n)))
+    residues = [1] * count
+    zero_at = [0] * count
     for j, block in enumerate(blocks):
         j0 = j * _DET_PANEL
         j1 = block.shape[2]
         w = j1 - j0
-        _check_float64_sums(w - 1, top)
+        _check_float64_sums(w, top)
         g = block[:, :, j0:j1].astype(np.float64)
-        for t in range(w):
-            column = g[:, :, t].copy()
-            _reduce(column, p[:, 0], p_inv[:, 0])
-            pivots = column[:, t].tolist()
-            diagonal[:, j0 + t] = pivots
-            if not all(pivots) and j0 + t < n - 1:
-                zero_at[(column[:, t] == 0) & (zero_at == 0)] = j0 + t + 1
-            column[:, t] = 0
-            g[:, :, t] = 0
-            g[:, t, t] = 1
-            row = g[:, t, :]
-            _reduce(row, p[:, 0], p_inv[:, 0])
-            row *= np.array([pow(int(v), -1, q) if v else 0 for v, q in zip(pivots, primes)])[:, None]
-            _reduce(row, p[:, 0], p_inv[:, 0])
-            g -= column[:, :, None] * row[:, None, :]
+        for t in range(0, w, 2):
+            k0 = j0 + t
+            k = w - t if j1 == n and w - t <= 3 else 2
+            s = slice(t, t + k)
+            col = g[:, :, s]
+            col = col - np.rint(col * p_inv) * p
+            pivot = col[:, s]
+            dets = []
+            for i, (e, q) in enumerate(zip(pivot.tolist(), primes)):
+                a = e[0][0]
+                d = int(a * e[1][1] - e[0][1] * e[0][1] if k > 1 else a) % q
+                dets.append(d)
+                if not (a and d) and not zero_at[i]:
+                    if not a and k0 + 1 < n:
+                        zero_at[i] = k0 + 1
+                    elif not d and k0 + 2 < n:
+                        zero_at[i] = k0 + 2
+                residues[i] = residues[i] * (_det3(e) if k == 3 else d) % q
+            if k0 + k == n:
+                break
+            inverse = np.array([pow(d, -1, q) if d else 0 for d, q in zip(dets, primes)], dtype=np.float64)
+            inverse = inverse[:, None, None] * pivot[:, ::-1, ::-1] * _NEGATED_ADJUGATE
+            inverse -= np.rint(inverse * p_inv) * p
+            rows = np.matmul(inverse, col.transpose(0, 2, 1))
+            rows -= np.rint(rows * p_inv) * p
+            rows[:, :, s] = inverse
+            g[:, :, s] = 0
+            g += np.matmul(col, rows, out=q_buf[: g.size].reshape(g.shape))
+            g[:, s] = rows
         if j1 == n:
             break
-        _check_float64_sums(w, top)
-        _reduce(g, p, p_inv)
-        below = np.concatenate([b[:, :, j0:j1] for b in blocks[j + 1 :]], axis=1, dtype=np.float64)
-        x = np.matmul(g, below.transpose(0, 2, 1))
-        _reduce(x, p, p_inv)
+        rest = n - j1
+        _reduce(g, p, p_inv, q_buf[: g.size].reshape(g.shape))
+        below = c_buf[: count * rest * w].reshape(count, rest, w)
+        np.concatenate([b[:, :, j0:j1] for b in blocks[j + 1 :]], axis=1, out=below)
+        x = np.matmul(g, below.transpose(0, 2, 1), out=x_buf[: below.size].reshape(count, w, rest))
+        _reduce(x, p, p_inv, q_buf[: x.size].reshape(x.shape))
         for b in blocks[j + 1 :]:
-            r1 = b.shape[2]
-            c = np.matmul(below[:, r1 - b.shape[1] - j1 : r1 - j1], x[:, :, : r1 - j1])
-            np.subtract(b[:, :, j1:], c, out=c)
-            _reduce(c, p, p_inv)
+            shape = (count, b.shape[1], b.shape[2] - j1)
+            size = math.prod(shape)
+            c = np.matmul(b[:, :, j0:j1], x[:, :, : shape[2]], out=c_buf[:size].reshape(shape))
+            np.add(b[:, :, j1:], c, out=c)
+            _reduce(c, p, p_inv, q_buf[:size].reshape(shape))
             b[:, :, j1:] = c
-    residues = diagonal.astype(np.int64).tolist()
-    return [math.prod(d) % q for d, q in zip(residues, primes)], zero_at.tolist()
+    return residues, zero_at
 
 
 def integer_determinant(matrix) -> int:
@@ -526,13 +592,12 @@ def integer_determinant(matrix) -> int:
         return 1
     # log2 H_k for k = 1 .. n; c primes above 2**(w - 1) multiply to more than
     # 2**(c (w - 1)) by a margin far above the rounding of these sums
-    leading = list(itertools.accumulate(0.5 * math.log2(max(1, s)) for s in _square_norms(m, axis=1)))
-    bits = leading[-1] + 2
+    leading = np.cumsum([0.5 * math.log2(max(1, s)) for s in _square_norms(m, axis=1)])
+    bits = float(leading[-1]) + 2
     width = min(_FLOAT32_BITS, _prime_width(_DET_PANEL, _FLOAT64_BITS))
     primes = _prime_batch(bits, width)
     size = _packed_size(n)
-    # bytes per prime: the packed stack and its float64 panels and update blocks
-    per_stack = min(len(primes), max(1, _DET_STACK_BYTES // (4 * size + 40 * _DET_PANEL * n)))
+    per_stack = min(len(primes), max(1, _det_stack_primes(n, _DET_STACK_BYTES)))
     stack = np.empty((per_stack, size), dtype=np.float32)
     kept, residues = [], []
     drops = [0] * n

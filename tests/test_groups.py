@@ -110,8 +110,11 @@ class TestBuildGroup:
     )
     def test_table_matches_the_presentation(self, family, n):
         table = build_group(family, n)
+        words = product_table_by_words(family, n)
         assert table.product.dtype == np.uint16
-        assert np.array_equal(table.product, product_table_by_words(family, n))
+        assert np.array_equal(table.product, words)
+        # the closed-form inverses: x y = e, the least entry of row x, at y
+        assert np.array_equal(table.inverse, np.argmin(words, axis=1))
         verify_group_axioms(table)
 
     def test_tables_fill_their_dtype(self, monkeypatch):

@@ -596,8 +596,13 @@ def edge_primes(length, bits):
 
 def packed_stack_bytes(n, per_stack):
     """A ``_DET_STACK_BYTES`` that holds ``per_stack`` primes of the packed
-    stack at order n."""
-    return (4 * _packed_size(n) + 40 * _DET_PANEL * n) * per_stack
+    stack at order n: per prime the float32 triangle, three float64 panels
+    of _DET_PANEL rows and max(n - _DET_PANEL, _DET_PANEL) columns and two
+    float64 diagonal blocks; for the batch one float64 ufunc buffer and 64
+    bytes per row."""
+    b = _DET_PANEL
+    span = max(n - b, b)
+    return (4 * _packed_size(n) + 8 * b * (3 * span + 2 * b)) * per_stack + 8 * np.getbufsize() + 64 * n
 
 
 def packed_residues(m, primes):
@@ -692,11 +697,11 @@ class TestKirchhoffLU:
     @pytest.mark.parametrize("n", [2, 5, 15, 16, 17, 33, 70])
     def test_symmetric_dot_length_is_the_longest_sum_formed(self, n, monkeypatch):
         # under a 40-bit budget, a prime that admits the longest sum the LU
-        # forms (n - 1 in the Gauss-Jordan inversion of a lone panel,
-        # _DET_PANEL in X = A11^-1 A21^T and in the trailing update) runs
-        # exactly, and the next prime, which admits one product less, trips
-        # the run-time check
-        longest = min(n - 1, _DET_PANEL)
+        # checks for (w for a panel of width w: two products per pivot pair
+        # in its Gauss-Jordan, w in X = A11^-1 A21^T and in the trailing
+        # update) runs exactly, and the next prime, which admits one product
+        # less, trips the run-time check
+        longest = min(n, _DET_PANEL)
         monkeypatch.setattr(spectral, "_FLOAT64_BITS", 40)
         fits, past = edge_primes(longest, 40)
         assert (longest - 1) * (past - 1) ** 2 + past < 1 << 40
@@ -880,6 +885,9 @@ class TestKirchhoffLU:
             tracemalloc.stop()
         assert peak <= spectral._DET_STACK_BYTES, peak
         assert seen["dropped"] == ([first] if drop else [])
+        # more primes per stack than the 40 * 16 * n bytes of float64 work
+        # per prime once admitted at the same budget: 13 at order 127, 7 at 199
+        assert seen["batches"][0] > {127: 13, 199: 7}[minor.shape[0]]
         # expansion along the changed entry
         delta = int(changed[0, 0] - minor[0, 0])
         expected = integer_determinant(minor) + delta * integer_determinant(minor[1:, 1:])
@@ -888,7 +896,8 @@ class TestKirchhoffLU:
     @pytest.mark.parametrize("family,n,base,relation", COFACTOR_MEMORY_CASES)
     def test_memory_peak(self, family, n, base, relation, monkeypatch):
         # the packed stack and its float64 temporaries stay within
-        # _DET_STACK_BYTES; the int64 input is read in place, not copied
+        # _DET_STACK_BYTES, with more primes to a stack than before; the
+        # int64 input is read in place, not copied
         self.check_peak(family, n, base, relation, False, monkeypatch)
 
     @pytest.mark.parametrize("family,n,base,relation", COFACTOR_MEMORY_CASES)
@@ -960,6 +969,87 @@ def test_symmetric_kirchhoff_lu_matches_oracles(n, seed, kind, spread, narrow, p
             with pytest.raises(ValueError, match="D_"):
                 integer_determinant(m)
         else:
+            assert integer_determinant(m) == bareiss_determinant(m) == minors[-1]
+
+
+def planted_minors(rng, n, k, kind, p):
+    """A symmetric n x n matrix whose leading principal minors are planted:
+    1 x 1 blocks of 1 to 3 on the diagonal and, at pivots k and k + 1, the
+    2 x 2 block [[p, 1], [1, 0]] ("first": p | D_k and p does not divide
+    D_(k+1)) or [[1, 1], [1, 1 + p]] ("second": p | D_(k+1), not D_k), or
+    p at pivot k = n ("last"), all conjugated by a random unit lower
+    triangular L, which keeps every leading principal minor."""
+    m = np.diag(rng.integers(1, 4, size=n))
+    if kind == "last":
+        m[n - 1, n - 1] = p
+    else:
+        m[k - 1 : k + 1, k - 1 : k + 1] = [[p, 1], [1, 0]] if kind == "first" else [[1, 1], [1, 1 + p]]
+    lower = np.tril(rng.integers(-2, 3, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    return lower @ m @ lower.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=40),
+    kind=st.sampled_from(["first", "second", "last"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# pivots 15 and 16 close panel 0 and 17 opens panel 1: p | D_16 alone is a
+# zero d with a nonzero a, and p | D_17 alone a zero a with a nonzero d
+@example(n=33, k=15, kind="first", seed=1)
+@example(n=33, k=16, kind="first", seed=2)
+@example(n=33, k=16, kind="second", seed=3)
+@example(n=34, k=17, kind="first", seed=4)
+# p | D_(n-1) alone, the first of the last pair
+@example(n=32, k=31, kind="first", seed=10)
+# a zero at the last pivot: second of the last pair (n even), third of the
+# last block of three (n odd), alone (n = 17, 33), and n = 1
+@example(n=32, k=31, kind="second", seed=5)
+@example(n=31, k=30, kind="second", seed=6)
+@example(n=33, k=33, kind="last", seed=7)
+@example(n=17, k=17, kind="last", seed=8)
+@example(n=1, k=1, kind="last", seed=9)
+def test_planted_minors_at_pivot_pair_boundaries(n, k, kind, seed):
+    # 10-bit primes; p divides the planted minor alone, so the LDL^T drops
+    # p at the first k < n with p | D_k and no other prime, its residues
+    # equal det_mod, and a zero at the last pivot is the residue 0
+    k = n if kind == "last" else min(k, n - 1)
+    if k < 1:
+        return
+    primes = spectral._ensure_primes(10, 12)[:12]
+    p = primes[1]
+    m = planted_minors(np.random.default_rng(seed), n, k, kind, p)
+    minors = leading_minors(m)
+    first = {"first": k, "second": k + 1, "last": n}[kind]
+    assert [i for i, d in enumerate(minors, 1) if d % p == 0][:1] == [first]
+    residues, zero_at = packed_residues(m, primes)
+    assert zero_at == [first if q == p and first < n else 0 for q in primes]
+    assert zero_at == [first_dividing_minor(minors, n, q) for q in primes]
+    assert all(z or r == det_mod(m % q, q) for q, r, z in zip(primes, residues, zero_at))
+    if first == n:
+        assert residues[1] == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_FLOAT32_BITS", 10)
+        seen = record_lu_runs(patch)
+        assert integer_determinant(m) == bareiss_determinant(m) == minors[-1]
+    assert p in seen["primes"] and seen["dropped"] == ([p] if first < n else [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18, 19, 31, 32, 33])
+def test_orders_at_the_step_edges(n):
+    # the last step takes one, two or three pivots with no inverse: n = 1,
+    # 17 and 33 end on a lone pivot, 2, 4, 18 and 32 on a pair, 3, 19 and 31
+    # on a block of three, 31 and 33 in a panel of odd width
+    rng = np.random.default_rng(n)
+    b = rng.integers(-9, 10, size=(n, n))
+    primes = _prime_batch(40 * n, 24)[:5] + spectral._ensure_primes(10, 5)[:5]
+    for m in (b @ b.T + np.eye(n, dtype=np.int64), laplacian_minor(rng, n)):
+        minors = leading_minors(m)
+        residues, zero_at = packed_residues(m, primes)
+        assert zero_at == [first_dividing_minor(minors, n, q) for q in primes]
+        assert all(z or r == det_mod(m % q, q) for q, r, z in zip(primes, residues, zero_at))
+        if 0 not in minors[: n - 1]:
             assert integer_determinant(m) == bareiss_determinant(m) == minors[-1]
 
 
