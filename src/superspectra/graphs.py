@@ -20,7 +20,6 @@ from .errors import DimensionMismatch
 from .groups import (
     GroupTable,
     Partition,
-    _maximal_cyclic_rows,
     conjugacy_classes,
     equality_partition,
     order_partition,
@@ -115,9 +114,18 @@ def graph_from_edges(n: int, edges, group: GroupTable | None = None) -> SimpleGr
 
 
 def power_graph(table: GroupTable) -> SimpleGraph:
-    """x ~ y when one is a positive power of the other."""
-    member = table._membership  # member[x, y]: y in {x, x^2, ...}
-    adj = member | member.T
+    """x ~ y when one is a positive power of the other.
+
+    The powers of x are the members of <x>, so every generator of a cyclic
+    subgroup is joined to all its members, both ways.  The subgroups of one
+    order are written in one scatter each way.
+    """
+    cyclic = table._cyclic
+    adj = np.zeros((table.order, table.order), dtype=bool)
+    for size, rows in cyclic.members.items():
+        gens = cyclic.generators[size]
+        adj[gens[:, :, None], rows[:, None, :]] = True
+        adj[rows[:, :, None], gens[:, None, :]] = True
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=table)
 
@@ -128,13 +136,9 @@ def enhanced_power_graph(table: GroupTable) -> SimpleGraph:
     Membership in a common *maximal* cyclic subgroup is equivalent.  The
     maximal subgroups of one size are written as cliques in one scatter.
     """
-    n = table.order
-    rows = _maximal_cyclic_rows(table)
-    sizes = rows.sum(axis=1)
-    adj = np.zeros((n, n), dtype=bool)
-    for size in np.unique(sizes):
-        idx = np.nonzero(rows[sizes == size])[1].reshape(-1, size)
-        adj[idx[:, :, None], idx[:, None, :]] = True
+    adj = np.zeros((table.order, table.order), dtype=bool)
+    for rows in table._cyclic.maximal.values():
+        adj[rows[:, :, None], rows[:, None, :]] = True
     np.fill_diagonal(adj, False)
     return SimpleGraph(adj, group=table)
 

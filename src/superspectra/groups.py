@@ -2,16 +2,18 @@
 cyclic families, plus exact structure queries (element orders, center,
 conjugacy classes, cyclic subgroups).
 
-The queries work on whole tables rather than one element at a time.  One
-N x N membership table (x in <g>, built by advancing every generator at
-once) gives the element orders as row sums, the cyclic subgroups as its
-distinct rows and the maximal ones by one covering test per element order.
+The queries work on whole tables rather than one element at a time.  The
+cyclic subgroups come from one power walk each: walking g, g^2, .. up to
+the identity gives <g> and, for every divisor d of its order m, <g^d> with
+its phi(m/d) generators, so no subgroup is walked twice and no N x N array
+is made.  The element orders, the order partition, the maximal cyclic
+subgroups and the power graphs all read this one structure per table.
 Conjugacy classes are the orbits of conjugation by the generators a and b,
 each labelled by its least member through pointer doubling.
 The product table is uint16, which holds every index below 2^16.
-``build_group`` refuses an order whose product and membership tables would
-exceed a fixed memory budget (orders above 18918), or whose indices uint16
-cannot hold, before allocating either.
+``build_group`` refuses an order whose tables would exceed a fixed memory
+budget (orders above 18918), or whose indices uint16 cannot hold, before
+allocating anything.
 
 Element indexing is canonical across the package: the rotations
 ``a^0 .. a^{k-1}`` occupy indices ``0 .. k-1`` (k = n, 2n, 4n for the
@@ -22,8 +24,11 @@ cyclic group) and the reflections ``b, a*b, .. a^{k-1}*b`` follow at indices
 
 from __future__ import annotations
 
+import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,8 +43,10 @@ FAMILIES = (DIHEDRAL, QUATERNION, SEMIDIHEDRAL, CYCLIC)
 
 _MIN_N = {DIHEDRAL: 3, QUATERNION: 2, SEMIDIHEDRAL: 2, CYCLIC: 1}
 
-# Bytes allowed for one group's N x N uint16 product table plus the N x N
-# bool membership table of the whole-table queries: orders up to 18918.
+# Bytes allowed for one group's N x N uint16 product table plus one N x N
+# bool array: orders up to 18918.  The queries make no N x N array of their
+# own; the bool term is headroom for the one bool graph every command
+# builds from the table.
 _TABLE_BUDGET_BYTES = 1 << 30
 
 # The product table stores element indices 0..N-1, so its dtype bounds the
@@ -71,7 +78,6 @@ class GroupTable:
     parameter: int
     product: np.ndarray
     inverse: np.ndarray
-    labels: tuple[str, ...]
     identity: int = 0
 
     def __post_init__(self):
@@ -86,6 +92,15 @@ class GroupTable:
     def rotation_count(self) -> int:
         """Size of the rotation block <a> at the front of the index space."""
         return self.order if self.family == CYCLIC else self.order // 2
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """``a^i`` for the rotations, then ``a^i*b`` for the reflections."""
+        k = self.rotation_count
+        rotations = tuple(_rotation_label(i) for i in range(k))
+        if self.family == CYCLIC:
+            return rotations
+        return rotations + tuple(_reflection_label(i) for i in range(k))
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -111,16 +126,14 @@ class GroupTable:
         return int(self.product[self.product[g, x], self.inverse[g]])
 
     @cached_property
-    def _membership(self) -> np.ndarray:
-        """The read-only cyclic-membership table, built on first use."""
-        member = _cyclic_membership(self)
-        member.setflags(write=False)
-        return member
+    def _cyclic(self) -> "_CyclicSubgroups":
+        """Every cyclic subgroup, walked on first use."""
+        return _walk_cyclic_subgroups(self)
 
 
 def _table_bytes(order: int) -> int:
-    """Bytes of the N x N uint16 product table plus the N x N bool
-    membership table for a group of order N."""
+    """Bytes of the N x N uint16 product table plus one N x N bool array,
+    the graph a command builds from the table, for a group of order N."""
     return order * order * (np.dtype(_PRODUCT_DTYPE).itemsize + np.dtype(np.bool_).itemsize)
 
 
@@ -176,9 +189,7 @@ def build_group(family: str, n: int) -> GroupTable:
     rot_rot = product[:k, :k]
     np.copyto(rot_rot, windows[:k])
 
-    if family == CYCLIC:
-        labels = tuple(_rotation_label(int(x)) for x in range(k))
-    else:
+    if family != CYCLIC:
         rot_refl, refl_rot, refl_refl = product[:k, k:], product[k:, :k], product[k:, k:]
         np.add(rot_rot, k, out=rot_refl)
         # b * a^j = a^-j * b, except in the semidihedral group, where
@@ -191,9 +202,6 @@ def build_group(family: str, n: int) -> GroupTable:
         np.add(refl_refl, k, out=refl_rot)
         if family == QUATERNION:
             np.copyto(refl_refl, descending(n))  # b^2 = a^n
-        labels = tuple(_rotation_label(int(x)) for x in range(k)) + tuple(
-            _reflection_label(int(x)) for x in range(k)
-        )
 
     # a^-i = a^(k - i); (a^i b)^-1 = a^j b with a^i b a^j b = 1, which is
     # a^(i - j) in the dihedral group (j = i), a^(i - j + n) in the
@@ -204,7 +212,7 @@ def build_group(family: str, n: int) -> GroupTable:
     if family != CYCLIC:
         shift = {DIHEDRAL: 0, QUATERNION: n, SEMIDIHEDRAL: 2 * n * (r % 2)}[family]
         inverse = np.concatenate((inverse, k + (r + shift) % k))
-    return GroupTable(family=family, parameter=n, product=product, inverse=inverse, labels=labels)
+    return GroupTable(family=family, parameter=n, product=product, inverse=inverse)
 
 
 def verify_group_axioms(table: GroupTable) -> None:
@@ -310,7 +318,7 @@ def _partition_from_labels(block_of: np.ndarray) -> Partition:
     members = np.argsort(block_of, kind="stable")
     ends = np.cumsum(np.bincount(block_of))[:-1]
     blocks = tuple(tuple(b.tolist()) for b in np.split(members, ends))
-    return Partition(block_of=block_of.astype(np.int64), blocks=blocks)
+    return Partition(block_of=block_of.astype(np.int64, copy=False), blocks=blocks)
 
 
 def equality_partition(n: int) -> Partition:
@@ -338,77 +346,113 @@ def conjugacy_classes(table: GroupTable) -> Partition:
     return _partition_from_labels(block_of)
 
 
-def _cyclic_membership(table: GroupTable) -> np.ndarray:
-    """N x N bool matrix with ``member[g, x]`` set when x lies in <g>.
+@dataclass(frozen=True, eq=False)
+class _CyclicSubgroups:
+    """Every cyclic subgroup of one table, stacked by order.
 
-    Every generator advances at once, ``cur = product[cur, gens]``, and
-    drops out once its power reaching the identity is recorded, so the loop
-    runs as many times as the largest element order, on shrinking index
-    arrays.  Row sums are the element orders.  The queries read it through
-    ``GroupTable._membership``, which builds it once per table.
+    ``members[s]`` has one row per subgroup of order s, and
+    ``generators[s]`` the phi(s) elements generating the subgroup of the
+    same row; both are keyed by s in ascending order.  ``orders`` holds
+    every element's order.
     """
-    p = table.product
+
+    orders: np.ndarray
+    members: dict[int, np.ndarray]
+    generators: dict[int, np.ndarray]
+
+    def __post_init__(self):
+        for a in (self.orders, *self.members.values(), *self.generators.values()):
+            a.setflags(write=False)
+
+    @cached_property
+    def maximal(self) -> dict[int, np.ndarray]:
+        """Rows of ``members`` that are maximal cyclic subgroups, by order.
+
+        <g> is maximal when no cyclic subgroup of larger order contains g:
+        a strictly larger cyclic subgroup containing <g> contains g, and any
+        <h> containing g contains <g>.  Orders are visited from the largest
+        down, with ``covered`` marking the members of every larger subgroup
+        seen so far.
+        """
+        covered = np.zeros(self.orders.size, dtype=bool)
+        maximal = {}
+        for size in sorted(self.members, reverse=True):
+            rows = self.members[size]
+            keep = ~covered[self.generators[size][:, 0]]
+            if keep.any():
+                maximal[size] = rows[keep]
+            covered[rows] = True
+        return maximal
+
+
+def _walk_cyclic_subgroups(table: GroupTable) -> _CyclicSubgroups:
+    """Every cyclic subgroup, from one power walk each.
+
+    The first g whose order is not yet known is walked, g, g^2, .. g^m = e,
+    by table products.  g^i generates <g^d> for d = gcd(i, m), so the walk
+    gives, for every divisor d of m, the subgroup <g^d> of order m/d with
+    all its generators; one whose generators an earlier walk gave is
+    skipped.  Every subgroup found has the orders of all its generators
+    set, so no subgroup is walked twice.  The queries read it through
+    ``GroupTable._cyclic``, which walks once per table.
+
+    Raises ``ValueError`` when the powers of some g do not reach the
+    identity within N steps, which no group table allows.
+
+    Everything is gathered in C int ``array.array`` buffers, which the
+    returned ``np.intc`` arrays view without a copy: 4 bytes an entry, with
+    no Python int kept per element.
+    """
+    step = table.product.item
     n = table.order
-    member = np.zeros((n, n), dtype=bool)
-    gens = np.arange(n)
-    cur = gens
-    while gens.size:
-        member[gens, cur] = True
-        live = cur != table.identity
-        gens = gens[live]
-        cur = p[cur[live], gens]
-    return member
+    orders = array("i", bytes(n * np.dtype(np.intc).itemsize))
+    members: dict[int, array] = defaultdict(partial(array, "i"))
+    generators: dict[int, array] = defaultdict(partial(array, "i"))
+    for g in range(n):
+        if orders[g]:
+            continue
+        walk = array("i", [g])  # walk[i - 1] = g^i
+        while (x := walk[-1]) != table.identity:
+            if len(walk) == n:
+                raise ValueError(f"the powers of element {g} do not reach the identity in {n} steps")
+            walk.append(step(x, g))
+        m = len(walk)
+        for d in range(1, m + 1):
+            if m % d or orders[walk[d - 1]]:
+                continue
+            size = m // d
+            gens = [walk[i - 1] for i in range(d, m + 1, d) if math.gcd(i, m) == d]
+            for x in gens:
+                orders[x] = size
+            members[size].extend(walk[d - 1 :: d])
+            generators[size].extend(gens)
 
+    def stacked(buffers: dict[int, array], size: int) -> np.ndarray:
+        return np.frombuffer(buffers[size], dtype=np.intc).reshape(len(members[size]) // size, -1)
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of one row of each distinct value in a bool matrix.
-
-    Each packed row is viewed as one opaque byte string, which np.unique
-    sorts far faster than it sorts rows with ``axis=0``.
-    """
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return np.unique(keys, return_index=True)[1]
-
-
-def _maximal_cyclic_rows(table: GroupTable) -> np.ndarray:
-    """Membership rows of the maximal cyclic subgroups, one row each.
-
-    <g> is maximal when no <h> of larger order contains g: a strictly larger
-    cyclic subgroup containing <g> contains g, and any <h> containing g
-    contains <g>.  Orders are visited from the largest down, with ``covered``
-    marking the elements of every <h> of larger order seen so far.
-    """
-    member = table._membership
-    orders = member.sum(axis=1)
-    covered = np.zeros(table.order, dtype=bool)
-    maximal = np.zeros(table.order, dtype=bool)
-    for k in np.unique(orders)[::-1]:
-        at = orders == k
-        maximal[at] = ~covered[at]
-        covered |= member[at].any(axis=0)
-    rows = member[maximal]
-    return rows[_distinct_rows(rows)]
-
-
-def _subgroup_sets(rows: np.ndarray) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset(np.flatnonzero(row).tolist()) for row in rows)
+    return _CyclicSubgroups(
+        orders=np.frombuffer(orders, dtype=np.intc),
+        members={s: stacked(members, s) for s in sorted(members)},
+        generators={s: stacked(generators, s) for s in sorted(members)},
+    )
 
 
 def order_partition(table: GroupTable) -> Partition:
     """Coarsest partition grouping elements of equal order; blocks in
     increasing element order, members ascending within a block."""
-    orders = table._membership.sum(axis=1)
-    _, block_of = np.unique(orders, return_inverse=True)
+    _, block_of = np.unique(table._cyclic.orders, return_inverse=True)
     return _partition_from_labels(block_of)
+
+
+def _subgroup_sets(by_size: dict[int, np.ndarray]) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset(row) for rows in by_size.values() for row in rows.tolist())
 
 
 def cyclic_subgroups(table: GroupTable) -> frozenset[frozenset[int]]:
     """All subgroups <g>."""
-    member = table._membership
-    return _subgroup_sets(member[_distinct_rows(member)])
+    return _subgroup_sets(table._cyclic.members)
 
 
 def maximal_cyclic_subgroups(table: GroupTable) -> frozenset[frozenset[int]]:
     """Cyclic subgroups not strictly contained in another cyclic subgroup."""
-    return _subgroup_sets(_maximal_cyclic_rows(table))
+    return _subgroup_sets(table._cyclic.maximal)

@@ -79,7 +79,9 @@ _DET_PANEL = 16  # Kirchhoff LU panel width, and rows per block of its trailing 
 # float32 residue stack of one batch of primes with its float64 temporaries,
 # as _det_stack_primes counts them: 9 primes at order 200 and 17 at 128.
 # Larger stacks raise peak RSS (2 MB float64 stacks: +10% on a catalog
-# sweep).
+# sweep).  A batch holds at least one prime, so from matrix order 758 on,
+# where one prime and the shared bytes pass this budget, the cofactor runs
+# one prime a batch above it: 1.72 MB for the minor of an order-800 graph.
 _DET_STACK_BYTES = 3 << 19
 
 
@@ -432,18 +434,23 @@ def _det_span(n: int) -> int:
     return max(n - _DET_PANEL, _DET_PANEL)
 
 
+def _det_prime_bytes(n: int) -> int:
+    """Bytes one prime takes in a Kirchhoff batch at order n: the packed
+    float32 triangle, three float64 scratch panels of ``_DET_PANEL`` rows
+    and ``_det_span(n)`` columns and two float64 b x b blocks (the diagonal
+    block and the float64 copy of an A21 block that a matmul makes)."""
+    b = _DET_PANEL
+    return 4 * _packed_size(n) + 8 * b * (3 * _det_span(n) + 2 * b)
+
+
 def _det_stack_primes(n: int, budget: int) -> int:
-    """Primes per Kirchhoff batch at order n within ``budget`` bytes.  Each
-    takes the packed float32 triangle, three float64 scratch panels of
-    ``_DET_PANEL`` rows and ``_det_span(n)`` columns and two float64 b x b
-    blocks (the diagonal block and the float64 copy of an A21 block that a
-    matmul makes).  The batch shares one ufunc buffer of
+    """Primes per Kirchhoff batch at order n within ``budget`` bytes, each
+    taking ``_det_prime_bytes(n)``.  The batch shares one ufunc buffer of
     ``np.getbufsize()`` float64, which numpy fills when it broadcasts the
     primes, and 64 bytes per row for the call's lists and block views, as
-    measured by tracemalloc."""
-    b = _DET_PANEL
+    measured by tracemalloc.  0 when one prime alone passes the budget."""
     shared = 8 * np.getbufsize() + 64 * n
-    return (budget - shared) // (4 * _packed_size(n) + 8 * b * (3 * _det_span(n) + 2 * b))
+    return (budget - shared) // _det_prime_bytes(n)
 
 
 def _det3(e: list[list[float]]) -> int:
@@ -583,6 +590,11 @@ def integer_determinant(matrix) -> int:
     them can be dropped there; one more proves D_k = 0.  Raises
     ``ValueError`` for object-dtype or non-symmetric input, before any
     stack is allocated, and for a vanishing D_k, k < n.
+
+    Batches fill ``_DET_STACK_BYTES`` but hold at least one prime: from
+    n = 758 on one prime passes that budget, and each batch is one prime
+    of ``_det_prime_bytes(n)`` bytes plus the shared buffer, 1.72 MB for
+    the minor of an order-800 graph.
     """
     m = _as_square_int_matrix(matrix)
     if m.dtype == object or not _is_symmetric(m):

@@ -8,7 +8,8 @@ for rank, the spectrum read off kernel dimensions, schoolbook products of
 integer polynomials, per-prime int64 and Bareiss elimination for
 determinants, the Cayley table by rewriting words in the presentation,
 the per-element group queries and pair-loop composition that
-the library's whole-table versions replaced, the edge-counting product
+the library's whole-table versions replaced, the N x N cyclic-membership
+table that its one power walk per cyclic subgroup replaced, the edge-counting product
 lift and all-conjugators class scan that its boolean OR-reduction lift and
 generator-orbit classes replaced, and the structural graph as a composition
 of cliques relabelled afterwards, which its one-gather build replaced.
@@ -596,6 +597,27 @@ def cyclic_subgroup_by_powers(table, g: int) -> frozenset[int]:
 def cyclic_subgroups_by_powers(table) -> frozenset[frozenset[int]]:
     """All subgroups <g>."""
     return frozenset(cyclic_subgroup_by_powers(table, g) for g in range(table.order))
+
+
+def cyclic_membership(table) -> np.ndarray:
+    """N x N bool matrix with ``member[g, x]`` set when x lies in <g>.
+
+    Every generator advances at once, ``cur = product[cur, gens]``, and
+    drops out once its power reaching the identity is recorded, so the loop
+    runs as many times as the largest element order, on shrinking index
+    arrays.  Row sums are the element orders.
+    """
+    p = table.product
+    n = table.order
+    member = np.zeros((n, n), dtype=bool)
+    gens = np.arange(n)
+    cur = gens
+    while gens.size:
+        member[gens, cur] = True
+        live = cur != table.identity
+        gens = gens[live]
+        cur = p[cur[live], gens]
+    return member
 
 
 def compose_pairwise(spec: CompositionSpec) -> SimpleGraph:

@@ -28,9 +28,12 @@ from superspectra.groups import _TABLE_BUDGET_BYTES, _table_bytes
 
 from conftest import ORACLE_SWEEP
 from oracles import (
+    brute_force_power_edges,
     conjugacy_classes_by_least_conjugate,
     conjugacy_classes_by_orbits,
+    cyclic_membership,
     cyclic_subgroups_by_powers,
+    enhanced_by_common_cyclic,
     order_partition_by_element_order,
     product_table_by_words,
 )
@@ -419,15 +422,15 @@ class TestMemoryAdmission:
         assert peak < 1 << 20
 
 
-def test_one_membership_table_per_group(monkeypatch):
+def test_one_power_walk_per_group(monkeypatch):
     calls = []
-    real = groups._cyclic_membership
+    real = groups._walk_cyclic_subgroups
 
     def spy(table):
         calls.append(table)
         return real(table)
 
-    monkeypatch.setattr(groups, "_cyclic_membership", spy)
+    monkeypatch.setattr(groups, "_walk_cyclic_subgroups", spy)
     table = build_group(SEMIDIHEDRAL, 4)
     blocks = order_partition(table).blocks
     subgroups = cyclic_subgroups(table)
@@ -435,10 +438,92 @@ def test_one_membership_table_per_group(monkeypatch):
     power_graph(table)
     enhanced_power_graph(table)
     assert calls == [table]
-    assert not table._membership.flags.writeable
+    cyclic = table._cyclic
+    for a in (cyclic.orders, *cyclic.members.values(), *cyclic.generators.values()):
+        assert not a.flags.writeable
     assert blocks == order_partition_by_element_order(table).blocks
     assert subgroups == cyclic_subgroups_by_powers(table)
     assert maximal == frozenset(s for s in subgroups if not any(s < t for t in subgroups))
+
+
+def check_walk_against_membership(table):
+    """Element orders, the order partition, both subgroup queries and the
+    power graph against the N x N membership oracle; returns the oracle's
+    maximal cyclic subgroups."""
+    member = cyclic_membership(table)
+    orders = member.sum(axis=1)
+    assert np.array_equal(table._cyclic.orders, orders)
+    partition = order_partition(table)
+    assert partition.blocks == tuple(
+        tuple(np.flatnonzero(orders == k).tolist()) for k in np.unique(orders)
+    )
+    first = {row.tobytes(): g for g, row in enumerate(member)}.values()  # one g per <g>
+
+    def members(g):
+        return frozenset(np.flatnonzero(member[g]).tolist())
+
+    assert cyclic_subgroups(table) == frozenset(map(members, first))
+    # <g> is maximal when no <h> of larger order contains g
+    maximal = frozenset(members(g) for g in first if not (member[:, g] & (orders > orders[g])).any())
+    assert maximal_cyclic_subgroups(table) == maximal
+    powers = member | member.T
+    np.fill_diagonal(powers, False)
+    assert np.array_equal(power_graph(table).adjacency, powers)
+    return maximal
+
+
+WALK_FAMILIES = st.one_of(
+    st.tuples(st.just(DIHEDRAL), st.integers(3, 24)),
+    st.tuples(st.just(QUATERNION), st.integers(2, 12)),
+    st.tuples(st.just(SEMIDIHEDRAL), st.integers(2, 6)),
+    st.tuples(st.just(CYCLIC), st.integers(1, 48)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WALK_FAMILIES)
+def test_power_walk_matches_oracles(family_n):
+    # orders up to 48: the membership table, direct search for the power
+    # edges and common cyclic subgroups for the enhanced ones
+    table = build_group(*family_n)
+    check_walk_against_membership(table)
+    assert set(power_graph(table).edges()) == brute_force_power_edges(table)
+    assert np.array_equal(enhanced_power_graph(table).adjacency, enhanced_by_common_cyclic(table))
+
+
+@pytest.mark.parametrize("family,n", [(DIHEDRAL, 1000), (QUATERNION, 500), (SEMIDIHEDRAL, 250), (CYCLIC, 2000)])
+def test_power_walk_matches_membership_at_order_2000(family, n):
+    table = build_group(family, n)
+    maximal = check_walk_against_membership(table)
+    enhanced = np.zeros((table.order, table.order), dtype=bool)
+    for s in maximal:
+        idx = np.fromiter(s, dtype=np.int64)
+        enhanced[np.ix_(idx, idx)] = True
+    np.fill_diagonal(enhanced, False)
+    assert np.array_equal(enhanced_power_graph(table).adjacency, enhanced)
+
+
+def test_power_walk_without_identity_raises():
+    # 1 * 1 = 2 and 2 * 1 = 1: the powers of 1 cycle without the identity
+    product = np.array([[0, 1, 2], [1, 2, 1], [2, 1, 2]], dtype=np.uint16)
+    table = groups.GroupTable(family=CYCLIC, parameter=3, product=product, inverse=np.array([0, 2, 1]))
+    with pytest.raises(ValueError, match="element 1 do not reach the identity in 3 steps"):
+        order_partition(table)
+
+
+@pytest.mark.parametrize("family,n", [(DIHEDRAL, 1000), (QUATERNION, 500), (SEMIDIHEDRAL, 250), (CYCLIC, 2000)])
+def test_order_partition_memory_peak(family, n):
+    # order 2000: the walk keeps a few N-vectors of subgroup rows and the
+    # partition's blocks hold N Python ints; the membership table it
+    # replaced was N^2 bytes
+    table = build_group(family, n)
+    tracemalloc.start()
+    try:
+        order_partition(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * table.order**2, peak / table.order**2
 
 
 class TestPartitionType:

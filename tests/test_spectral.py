@@ -32,6 +32,8 @@ from superspectra.spectral import (
     _DET_PANEL,
     _connected,
     _det_mod_stack_symmetric,
+    _det_prime_bytes,
+    _det_stack_primes,
     _is_graph_laplacian,
     _charpoly_coeff_bits,
     _packed_size,
@@ -596,13 +598,9 @@ def edge_primes(length, bits):
 
 def packed_stack_bytes(n, per_stack):
     """A ``_DET_STACK_BYTES`` that holds ``per_stack`` primes of the packed
-    stack at order n: per prime the float32 triangle, three float64 panels
-    of _DET_PANEL rows and max(n - _DET_PANEL, _DET_PANEL) columns and two
-    float64 diagonal blocks; for the batch one float64 ufunc buffer and 64
-    bytes per row."""
-    b = _DET_PANEL
-    span = max(n - b, b)
-    return (4 * _packed_size(n) + 8 * b * (3 * span + 2 * b)) * per_stack + 8 * np.getbufsize() + 64 * n
+    stack at order n: ``_det_prime_bytes(n)`` per prime, and for the batch
+    one float64 ufunc buffer and 64 bytes per row."""
+    return _det_prime_bytes(n) * per_stack + 8 * np.getbufsize() + 64 * n
 
 
 def packed_residues(m, primes):
@@ -905,6 +903,27 @@ class TestKirchhoffLU:
         # (0, 0) is set to the first prime of the batch, which divides D_1:
         # it is dropped and its replacement runs in the same stack
         self.check_peak(family, n, base, relation, True, monkeypatch)
+
+    def test_one_prime_floor_above_the_budget(self):
+        # the minor of an order-800 graph: one prime and the shared buffer
+        # pass _DET_STACK_BYTES, so each batch holds the one prime the
+        # budget floor allows, and its peak stays within the bytes counted
+        minor = laplacian(named_super_graph(build_group(SEMIDIHEDRAL, 100), "commuting", "conjugacy"))[1:, 1:]
+        n = minor.shape[0]
+        assert _det_stack_primes(n, spectral._DET_STACK_BYTES) == 0
+        assert _det_stack_primes(757, spectral._DET_STACK_BYTES) == 1
+        assert packed_stack_bytes(n, 1) > spectral._DET_STACK_BYTES
+        primes = _prime_batch(30, 24)[:1]
+        tracemalloc.start()
+        try:
+            stack = np.empty((1, _packed_size(n)), dtype=np.float32)
+            (residue,), zero_at = _det_mod_stack_symmetric(minor, primes, stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert zero_at == [0]
+        assert residue == det_mod(minor % primes[0], primes[0])
+        assert peak <= packed_stack_bytes(n, 1), (peak, packed_stack_bytes(n, 1))
 
 
 def laplacian_minor(rng, n):
